@@ -56,12 +56,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common.hh"
 #include "core/journal.hh"
 #include "core/runner.hh"
 #include "fault/fault_plan.hh"
 #include "obs/json.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "util/parse.hh"
 #include "util/table.hh"
 
 using namespace gpsm;
@@ -420,11 +422,6 @@ main(int argc, char **argv)
     unsigned workers = 4;
     unsigned kills = 3;
     unsigned kill_interval_ms = 1500;
-    static const char *ignored_with_value[] = {
-        "--jobs",        "--divisor",         "--datasets",
-        "--apps",        "--journal",         "--timeout-seconds",
-        "--metrics-dir", "--sample-interval", "--shard",
-    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -436,16 +433,6 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        bool skipped = false;
-        for (const char *flag : ignored_with_value) {
-            if (arg == flag) {
-                (void)next();
-                skipped = true;
-                break;
-            }
-        }
-        if (skipped)
-            continue;
         if (arg == "--quick") {
             quick = true;
         } else if (arg == "--chaos") {
@@ -460,22 +447,15 @@ main(int argc, char **argv)
         } else if (arg == "--serve-bin") {
             serve_bin = next();
         } else if (arg == "--requests") {
-            requests = std::strtoull(next().c_str(), nullptr, 10);
+            requests = parseU64(next(), "--requests");
         } else if (arg == "--connections") {
-            connections = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            connections = parseUnsigned(next(), "--connections");
         } else if (arg == "--workers") {
-            workers = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            workers = parseUnsigned(next(), "--workers");
         } else if (arg == "--kills") {
-            kills = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            kills = parseUnsigned(next(), "--kills");
         } else if (arg == "--kill-interval-ms") {
-            kill_interval_ms = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
-        } else if (arg == "--paper" || arg == "--progress" ||
-                   arg == "--replay") {
-            // valueless harness flags: ignored
+            kill_interval_ms = parseUnsigned(next(), "--kill-interval-ms");
         } else if (arg == "--help" || arg == "-h") {
             std::fprintf(
                 stderr,
@@ -488,7 +468,7 @@ main(int argc, char **argv)
                 "ignored)\n",
                 argv[0]);
             return 0;
-        } else {
+        } else if (!bench::skipHarnessFlag(argc, argv, i)) {
             std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
             return 1;
         }

@@ -99,7 +99,40 @@ appByName(const std::string &name)
     fatal("unknown app '%s' (bfs/sssp/pr/cc)", name.c_str());
 }
 
+/**
+ * Every flag parseOptions() accepts, split by whether a value follows
+ * it; skipHarnessFlag() reads these. A flag added to parseOptions()
+ * belongs here too (the bench.harness_flags.* ctests pass this set to
+ * every binary that ignores it).
+ */
+const char *const harnessValueFlags[] = {
+    "--divisor", "--jobs", "--journal", "--timeout-seconds",
+    "--metrics-dir", "--sample-interval", "--shard", "--oo-ratio",
+    "--eviction", "--datasets", "--apps",
+};
+const char *const harnessSwitchFlags[] = {
+    "--quick", "--paper", "--progress", "--replay", "--profile",
+};
+
 } // namespace
+
+bool
+skipHarnessFlag(int argc, char **argv, int &i)
+{
+    const std::string arg = argv[i];
+    for (const char *flag : harnessSwitchFlags)
+        if (arg == flag)
+            return true;
+    for (const char *flag : harnessValueFlags) {
+        if (arg == flag) {
+            if (i + 1 >= argc)
+                fatal("missing value after %s", arg.c_str());
+            ++i;
+            return true;
+        }
+    }
+    return false;
+}
 
 mem::EvictionKind
 evictionByName(const std::string &name)

@@ -105,6 +105,16 @@ mem::EvictionKind evictionByName(const std::string &name);
  */
 Options parseOptions(int argc, char **argv);
 
+/**
+ * For binaries that run no experiments (micro_substrate, bench_serve)
+ * but sit in the same suite: if argv[@p i] is one of the harness flags
+ * parseOptions() accepts, step @p i past it (and past its value, when
+ * it takes one) and return true. The caller ignores the flag, so one
+ * flag set drives every binary in scripts/run_benches.sh. A value flag
+ * in last position is fatal, as in parseOptions().
+ */
+bool skipHarnessFlag(int argc, char **argv, int &i);
+
 /** System configuration selected by the options. */
 core::SystemConfig systemConfig(const Options &opts);
 

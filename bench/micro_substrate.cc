@@ -8,8 +8,7 @@
  * itself*, not simulated cycles, so numbers vary run to run. Output
  * goes through the standard TableWriter (text table + CSV block) so
  * run_benches.sh journals it like the fig benches, and --emit-bench
- * writes the measurements as JSON for the perf-trajectory artifacts
- * (docs/BENCH_substrate.json).
+ * writes the measurements as JSON (CI gates its thresholds on it).
  *
  * Harness flags shared with the fig benches (--jobs, --journal,
  * --metrics-dir, ...) are accepted and ignored: the cases here run no
@@ -27,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common.hh"
 #include "core/kernels.hh"
 #include "core/machine.hh"
 #include "core/replay.hh"
@@ -107,41 +107,18 @@ main(int argc, char **argv)
 {
     bool quick = false;
     std::string emit_bench;
-    // Flags that take a value in the common bench harness; accepted
-    // and ignored here so one flag set drives the whole suite.
-    static const char *ignored_with_value[] = {
-        "--jobs",        "--divisor",         "--datasets",
-        "--apps",        "--journal",         "--timeout-seconds",
-        "--metrics-dir", "--sample-interval", "--shard",
-    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value after %s\n",
-                             arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        bool skipped = false;
-        for (const char *flag : ignored_with_value) {
-            if (arg == flag) {
-                (void)next();
-                skipped = true;
-                break;
-            }
-        }
-        if (skipped)
-            continue;
         if (arg == "--quick") {
             quick = true;
         } else if (arg == "--emit-bench") {
-            emit_bench = next();
-        } else if (arg == "--paper" || arg == "--progress" ||
-                   arg == "--replay" || arg == "--profile") {
-            // valueless harness flags: ignored
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "missing value after %s\n",
+                             arg.c_str());
+                return 1;
+            }
+            emit_bench = argv[++i];
         } else if (arg == "--help" || arg == "-h") {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--emit-bench PATH]\n"
@@ -149,7 +126,7 @@ main(int argc, char **argv)
                          "ignored)\n",
                          argv[0]);
             return 0;
-        } else {
+        } else if (!bench::skipHarnessFlag(argc, argv, i)) {
             std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
             return 1;
         }
@@ -255,8 +232,8 @@ main(int argc, char **argv)
     }
 
     // --- MMU: random gathers over a translation-heavy footprint (the
-    //     irregular property-array pattern the VPN memo targets;
-    //     2^20 elements span far more pages than mmu_access_hot) ---
+    //     irregular property-array pattern; 2^20 elements span far
+    //     more pages than mmu_access_hot) ---
     {
         const std::uint64_t elems = 1 << 20;
         const std::uint64_t samples = 1 << 16;
@@ -281,8 +258,7 @@ main(int argc, char **argv)
             }));
 
         // Zipf (s=1) ranks via inverse-CDF over harmonic weights:
-        // hub-dominated, like real graph frontiers — the regime where
-        // the translation memo should shine.
+        // hub-dominated, like real graph frontiers.
         std::vector<double> cdf(elems);
         double total = 0.0;
         for (std::uint64_t i = 0; i < elems; ++i) {
@@ -345,7 +321,7 @@ main(int argc, char **argv)
             }));
     }
 
-    // --- MMU: sequential scans (the accessRange / translateRun path;
+    // --- MMU: sequential scans (the translateRun path;
     //     translate-heavy with the cache model off) ---
     {
         const std::uint64_t elems = 1 << 20;
@@ -357,9 +333,9 @@ main(int argc, char **argv)
         results.push_back(
             timeCase("mmu_seq_scan", elems * scans, reps, [&]() {
                 for (std::uint64_t s = 0; s < scans; ++s)
-                    m.mmu().accessRange(arr.vaddr(), elems,
-                                        sizeof(std::uint64_t),
-                                        /*write=*/false, arr.arrayTag());
+                    m.mmu().translateRun(arr.vaddr(), elems,
+                                         sizeof(std::uint64_t),
+                                         /*write=*/false, arr.arrayTag());
             }));
     }
     {
@@ -372,9 +348,9 @@ main(int argc, char **argv)
         results.push_back(
             timeCase("mmu_seq_scan_cached", elems * scans, reps, [&]() {
                 for (std::uint64_t s = 0; s < scans; ++s)
-                    m.mmu().accessRange(arr.vaddr(), elems,
-                                        sizeof(std::uint64_t),
-                                        /*write=*/false, arr.arrayTag());
+                    m.mmu().translateRun(arr.vaddr(), elems,
+                                         sizeof(std::uint64_t),
+                                         /*write=*/false, arr.arrayTag());
             }));
     }
 

@@ -63,7 +63,7 @@ loadAndRun(const Options &opts, const graph::CsrGraph &g,
     view.load(unreachedDist);
     out.initSeconds =
         sys.costs.seconds(machine.mmu().totalCycles() - i0);
-    out.cachedBytes = machine.pageCache().cachedBytes();
+    out.cachedBytes = machine.stagedInputBytes();
 
     const Cycles c0 = machine.mmu().totalCycles();
     bfs(view, defaultRoot(g));

@@ -1,18 +1,15 @@
 /**
  * @file
  * Route-planning scenario (paper §3.2's SSSP motivation): build a
- * weighted road-network-like graph, persist it in the library's
- * binary CSR format, reload it as a service would, and answer
- * shortest-path queries under a memory-constrained deployment with
- * selective huge pages.
+ * weighted road-network-like graph and answer shortest-path queries
+ * under a memory-constrained deployment with selective huge pages.
  *
- * Demonstrates the graph IO API plus running a kernel repeatedly on
- * one loaded SimView (queries share the warmed TLB state).
+ * Demonstrates running a kernel repeatedly on one loaded SimView
+ * (queries share the warmed TLB state).
  *
  * Usage: route_planner [nodes]
  */
 
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
@@ -21,7 +18,6 @@
 #include "core/views.hh"
 #include "graph/builder.hh"
 #include "graph/generators.hh"
-#include "graph/io.hh"
 #include "mem/memhog.hh"
 #include "util/table.hh"
 
@@ -46,28 +42,21 @@ main(int argc, char **argv)
     params.communityWindow = 512;
     params.seed = 7;
     graph::Builder builder(nodes);
-    graph::CsrGraph road = builder.fromEdgesWeighted(
+    const graph::CsrGraph road = builder.fromEdgesWeighted(
         graph::powerLawEdges(params), /*max_weight=*/60, 7);
-
-    // Persist and reload through the binary CSR container.
-    const std::string path = "/tmp/gpsm_roadnet.csr";
-    graph::saveCsr(road, path);
-    const graph::CsrGraph loaded = graph::loadCsr(path);
-    std::cout << loaded.summary("road network (reloaded)") << "\n"
-              << "on-disk size: "
-              << formatBytes(graph::csrFileBytes(loaded)) << "\n\n";
+    std::cout << road.summary("road network") << "\n\n";
 
     // Deploy on a busy node with selective THP on the distance array.
     SimMachine machine(SystemConfig::scaled(),
                        vm::ThpConfig::madvise());
     mem::Memhog tenants(machine.node());
-    tenants.occupyAllBut(loaded.footprintBytes(true) +
+    tenants.occupyAllBut(road.footprintBytes(true) +
                          machine.config().node.bytes / 32);
 
     SimView<std::uint64_t>::Options vopts;
     vopts.order = AllocOrder::PropertyFirst;
     vopts.needValues = true;
-    SimView<std::uint64_t> view(machine, loaded, vopts);
+    SimView<std::uint64_t> view(machine, road, vopts);
     view.advisePropertyFraction(1.0);
     view.load(unreachedDist);
 
@@ -104,6 +93,5 @@ main(int argc, char **argv)
               << " of "
               << formatBytes(machine.space().footprintBytes())
               << " footprint\n";
-    std::remove(path.c_str());
     return 0;
 }

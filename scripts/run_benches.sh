@@ -4,8 +4,10 @@
 #
 # Any argument starting with '-' (e.g. --quick, --jobs N, --apps ...)
 # is forwarded to the bench harness binaries; the first non-flag
-# argument names the output file. Every bench binary (including
-# micro_substrate) accepts the shared harness flags.
+# argument names the output file. The value-taking flags listed in the
+# case below mirror bench/common.cc. Every bench binary accepts the
+# shared harness flags; micro_substrate and bench_serve run no
+# experiments and ignore all of them except --quick.
 #
 # Robustness:
 # - GPSM_BENCH_TIMEOUT (seconds) caps each bench's wall clock; an
@@ -22,7 +24,7 @@ out=""
 flags=()
 while [ $# -gt 0 ]; do
     case "$1" in
-    --jobs|--divisor|--apps|--datasets|--journal|--timeout-seconds|--shard|--metrics-dir|--sample-interval)
+    --jobs|--divisor|--apps|--datasets|--journal|--timeout-seconds|--shard|--metrics-dir|--sample-interval|--oo-ratio|--eviction)
         flags+=("$1" "$2")
         shift 2
         ;;

@@ -24,8 +24,9 @@ SimMachine::SimMachine(const SystemConfig &config,
     }
     swap = std::make_unique<mem::SwapDevice>(config.swapBytes,
                                              config.node.basePageBytes);
-    cache = std::make_unique<mem::PageCache>(
+    cache = std::make_unique<mem::AddressSpaceCache>(
         *memNode, config.fileCacheEviction);
+    stagingFile = cache->createFile("input-files");
     vm::NumaPolicy numa;
     numa.remoteNode = memNode1.get();
     numa.placement = config.numaPlacement;
@@ -71,13 +72,13 @@ SimMachine::SimMachine(const SystemConfig &config,
     if (config.fileBackedCsr) {
         // Out-of-core keys exist only when CSR storage is
         // file-backed, keeping in-core stat dumps byte-identical.
-        const mem::AddressSpaceCache &asc = cache->addressSpace();
         statSet.registerCounter("pagecache.storageReads",
-                                &asc.storageReads,
+                                &cache->storageReads,
                                 "file pages filled from storage");
-        statSet.registerCounter("pagecache.writebacks", &asc.writebacks,
+        statSet.registerCounter("pagecache.writebacks",
+                                &cache->writebacks,
                                 "dirty file pages written back");
-        statSet.registerCounter("pagecache.evictions", &asc.evictions,
+        statSet.registerCounter("pagecache.evictions", &cache->evictions,
                                 "file pages evicted under pressure");
     }
     statSet.registerCounter("swapdev.pagesOut", &swap->pagesOut,
@@ -90,6 +91,15 @@ SimMachine::SimMachine(const SystemConfig &config,
     statSet.registerCounter("khugepaged.regionsPromoted",
                             &khuge->regionsPromoted,
                             "huge regions collapsed by khugepaged");
+}
+
+std::uint64_t
+SimMachine::stageInputFiles(std::uint64_t bytes)
+{
+    const mem::AddressSpaceCache::PopulateResult res =
+        cache->populate(stagingFile, stagingNextPage, bytes);
+    stagingNextPage += res.pages;
+    return res.bytes;
 }
 
 std::uint64_t

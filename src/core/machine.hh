@@ -10,8 +10,8 @@
 #include <memory>
 
 #include "core/system_config.hh"
+#include "mem/addr_space_cache.hh"
 #include "mem/memory_node.hh"
-#include "mem/page_cache.hh"
 #include "mem/swap_device.hh"
 #include "tlb/mmu.hh"
 #include "util/stats.hh"
@@ -42,11 +42,28 @@ class SimMachine
     /** The remote node, or nullptr on a single-node machine. */
     mem::MemoryNode *remoteNode() { return memNode1.get(); }
     mem::SwapDevice &swapDevice() { return *swap; }
-    mem::PageCache &pageCache() { return *cache; }
     /** The machine-wide address-space (file) cache. */
-    mem::AddressSpaceCache &fileCache()
+    mem::AddressSpaceCache &fileCache() { return *cache; }
+
+    /**
+     * Stage @p bytes of input-file data read from storage into the
+     * page cache (paper §4.3). The pages are clean, single-use data in
+     * one file object of the machine-wide cache, so they compete with
+     * out-of-core file mappings under the same eviction policy and
+     * reclaim path. Unless the cache is bypassed (direct I/O) or
+     * placed remotely (tmpfs on the other node), they consume exactly
+     * the free memory that huge-page allocation needed. Best effort,
+     * like readahead under pressure: staging stops without escalation
+     * when no free frame is left, and each call starts on a fresh page.
+     *
+     * @return Bytes actually staged (exact, final page clamped).
+     */
+    std::uint64_t stageInputFiles(std::uint64_t bytes);
+
+    /** Exact bytes of staged input-file data still resident. */
+    std::uint64_t stagedInputBytes() const
     {
-        return cache->addressSpace();
+        return cache->residentBytesOf(stagingFile);
     }
     vm::AddressSpace &space() { return *addressSpace; }
     tlb::Mmu &mmu() { return *mmuUnit; }
@@ -82,7 +99,10 @@ class SimMachine
     /** Second NUMA node; null unless config.numaEnabled(). */
     std::unique_ptr<mem::MemoryNode> memNode1;
     std::unique_ptr<mem::SwapDevice> swap;
-    std::unique_ptr<mem::PageCache> cache;
+    std::unique_ptr<mem::AddressSpaceCache> cache;
+    /** File object holding staged input data, and its next page. */
+    mem::FileId stagingFile = mem::invalidFile;
+    std::uint64_t stagingNextPage = 0;
     std::unique_ptr<vm::AddressSpace> addressSpace;
     std::unique_ptr<tlb::Mmu> mmuUnit;
     std::unique_ptr<vm::Khugepaged> khuge;

@@ -391,12 +391,9 @@ replayCompiled(const CompiledTrace &trace, tlb::Mmu &mmu)
     const std::size_t n = trace.records.size();
     for (std::size_t i = 0; i < n; ++i) {
         // Stay ahead of the dispatch: pull the record line a few
-        // entries out and the Mmu memo line the nearer record will
-        // index, so the irregular-access fast path finds both hot.
-        if (i + 8 < n) {
+        // entries out.
+        if (i + 8 < n)
             __builtin_prefetch(&recs[i + 8]);
-            mmu.prefetchMemo(recs[i + 4].addr);
-        }
         const CompiledRecord &rec = recs[i];
         const bool write =
             (rec.flags & CompiledRecord::flagWrite) != 0;

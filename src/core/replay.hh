@@ -3,7 +3,7 @@
  * Trace record-and-replay for sweep benches.
  *
  * A graph kernel's *virtual access stream* — the sequence of
- * (vaddr, write, tag) scalar accesses and bulk accessRange runs it
+ * (vaddr, write, tag) scalar accesses and bulk translateRun runs it
  * issues — depends only on the graph data, the kernel and its
  * parameters, and the address-space layout. It does NOT depend on TLB
  * geometry, cost models, cache configuration, THP policy, memory
@@ -179,12 +179,11 @@ void replayTrace(const RecordedTrace &trace, tlb::Mmu &mmu);
  * a sweep. The compiled form decodes each stream ONCE per process into
  * a flat array of fixed-width records that the sweep-replay inner loop
  * dispatches with no per-config decode work, plus software prefetch of
- * upcoming records and the Mmu memo lines they will index. The decoded
- * cache lives next to the RecordedTrace cache under the same
- * per-stream maxTraceBytes budget: a stream whose decoded form would
- * exceed it is pinned to the streaming decoder (counted in
- * ReplayStats::compiledOverflows) — correctness never depends on
- * compilation, only the per-config decode cost does.
+ * upcoming records. The decoded cache lives next to the RecordedTrace
+ * cache under the same per-stream maxTraceBytes budget: a stream whose
+ * decoded form would exceed it is pinned to the streaming decoder
+ * (counted in ReplayStats::compiledOverflows) — correctness never
+ * depends on compilation, only the per-config decode cost does.
  * @{ */
 
 /** One decoded record: 24 bytes, dispatch-ready. */

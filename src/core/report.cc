@@ -573,39 +573,4 @@ renderDiff(const DiffReport &report, const DiffOptions &opts)
     return os.str();
 }
 
-obs::Json
-benchTrajectoryJson(const DiffReport &report, const DiffOptions &opts,
-                    const std::string &description,
-                    const std::string &date)
-{
-    Json doc = Json::object();
-    doc.set("description", description);
-    doc.set("date", date);
-
-    Json metrics = Json::object();
-    for (const MetricDelta &d : report.deltas) {
-        Json entry = Json::object();
-        entry.set("before", d.before);
-        entry.set("after", d.after);
-        if (d.regression)
-            entry.set("regression", true);
-        metrics.set(d.run + "." + d.metric, std::move(entry));
-    }
-    doc.set("metrics", std::move(metrics));
-
-    Json determinism = Json::object();
-    determinism.set("compared_runs",
-                    static_cast<std::uint64_t>(report.comparedRuns));
-    determinism.set("regressions",
-                    static_cast<std::uint64_t>(report.regressions()));
-    determinism.set(
-        "checksum_mismatches",
-        static_cast<std::uint64_t>(report.checksumMismatches));
-    determinism.set("verdict", report.clean(opts)
-                                   ? "byte-identical or within tolerance"
-                                   : "regressed");
-    doc.set("determinism", std::move(determinism));
-    return doc;
-}
-
 } // namespace gpsm::core

@@ -145,15 +145,6 @@ std::string renderSummary(const ReportStore &store);
 std::string renderDiff(const DiffReport &report,
                        const DiffOptions &opts);
 
-/**
- * The repo's BENCH_*.json trajectory shape (docs/BENCH_harness.json):
- * description/date plus one before/after entry per compared run and
- * a determinism verdict.
- */
-obs::Json benchTrajectoryJson(const DiffReport &report,
-                              const DiffOptions &opts,
-                              const std::string &description,
-                              const std::string &date);
 /** @} */
 
 } // namespace gpsm::core

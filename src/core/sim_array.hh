@@ -184,7 +184,7 @@ class SimArray
      * initialization/loading pattern of paper Fig. 4 lines 1-5. This
      * is what demand-faults the array's pages in.
      *
-     * Uses the MMU's bulk accessRange (identical counter semantics to
+     * Uses the MMU's bulk translateRun (identical counter semantics to
      * per-element set(), without the per-element call overhead); the
      * host-side writes are untraced and happen afterwards, which is
      * unobservable to the simulation.
@@ -192,8 +192,8 @@ class SimArray
     void
     fill(const T &value)
     {
-        machine->mmu().accessRange(base, host.size(), sizeof(T),
-                                   /*write=*/true, tag);
+        machine->mmu().translateRun(base, host.size(), sizeof(T),
+                                    /*write=*/true, tag);
         std::fill(host.begin(), host.end(), value);
     }
 
@@ -202,8 +202,8 @@ class SimArray
     loadFrom(const std::vector<T> &data)
     {
         GPSM_ASSERT(data.size() == host.size());
-        machine->mmu().accessRange(base, host.size(), sizeof(T),
-                                   /*write=*/true, tag);
+        machine->mmu().translateRun(base, host.size(), sizeof(T),
+                                    /*write=*/true, tag);
         std::copy(data.begin(), data.end(), host.begin());
     }
 

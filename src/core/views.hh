@@ -144,7 +144,7 @@ class SimView
         const tlb::CostModel &costs = mach->config().costs;
         switch (opts.fileSource) {
           case FileSource::PageCacheLocal:
-            mach->pageCache().cacheFileData(file_bytes);
+            mach->stageInputFiles(file_bytes);
             mach->mmu().chargeIo(file_pages *
                                  costs.fileReadLocalCacheCycles);
             break;

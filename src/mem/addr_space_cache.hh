@@ -10,8 +10,9 @@
  *
  * Two producers feed it:
  *
- * - the load-time PageCache facade stages input-file pages as clean
- *   resident data (the paper's §4.3 single-use interference scenario);
+ * - core::SimMachine::stageInputFiles() stages input-file pages as
+ *   clean resident data (the paper's §4.3 single-use interference
+ *   scenario);
  * - file-backed VMAs (out-of-core CSR arrays) demand-fault pages in
  *   through faultPage() and let the policy evict under pressure
  *   instead of failing allocation.
@@ -27,9 +28,9 @@
  * evictions) and the MMU converts them into cycles via tlb::CostModel.
  *
  * The cache registers itself with its MemoryNode as both a PageClient
- * (compaction retargets resident pages in place — no stale queue
- * entries, the bug the old PageCache had) and a Reclaimable (any
- * allocation under pressure can shrink the cache).
+ * (compaction retargets resident pages in place, so no stale queue
+ * entries are left behind) and a Reclaimable (any allocation under
+ * pressure can shrink the cache).
  */
 
 #ifndef GPSM_MEM_ADDR_SPACE_CACHE_HH
@@ -190,8 +191,8 @@ class AddressSpaceCache : public PageClient, public Reclaimable
     /**
      * dropFile() plus release of the file object itself: the FileId
      * becomes invalid (any later use asserts) and its slot is free for
-     * the next createFile(). Callers that keep using the id — the
-     * PageCache staging file — want dropFile() instead.
+     * the next createFile(). Callers that keep using the id (the
+     * machine's input-staging file) want dropFile() instead.
      *
      * @return pages dropped.
      */

@@ -473,9 +473,9 @@ Server::handleMessage(const ConnPtr &conn, const obs::Json &msg)
             }
             queue.push_back(std::move(task));
             ++requestsAdmitted;
+            publishAdmittedLocked("", "sleep");
         }
         queueCv.notify_one();
-        publishRequestEvent("request_admitted", "", "sleep");
         return;
     }
     if (op == "run") {
@@ -570,17 +570,34 @@ Server::publishRequestEvent(const char *type, const std::string &run,
 {
     if (!obs::eventStreamActive())
         return;
-    obs::Json ev = obs::makeEvent(type, run);
-    ev.set("op", obs::Json(op));
+    obs::Json ev;
     {
         std::lock_guard<std::mutex> lock(queueMtx);
-        ev.set("queueDepth", obs::Json(std::uint64_t(queue.size())));
-        ev.set("inFlight", obs::Json(std::uint64_t(inFlightCount)));
+        ev = requestEventLocked(type, run, op);
     }
     if (extra != nullptr)
         for (const auto &[k, v] : extra->entries())
             ev.set(k, v);
     obs::EventBus::instance().publish(std::move(ev));
+}
+
+void
+Server::publishAdmittedLocked(const std::string &run, const char *op)
+{
+    if (obs::eventStreamActive())
+        obs::EventBus::instance().publish(
+            requestEventLocked("request_admitted", run, op));
+}
+
+obs::Json
+Server::requestEventLocked(const char *type, const std::string &run,
+                           const char *op)
+{
+    obs::Json ev = obs::makeEvent(type, run);
+    ev.set("op", obs::Json(op));
+    ev.set("queueDepth", obs::Json(std::uint64_t(queue.size())));
+    ev.set("inFlight", obs::Json(std::uint64_t(inFlightCount)));
+    return ev;
 }
 
 void
@@ -648,7 +665,7 @@ Server::handleRun(const ConnPtr &conn, std::uint64_t id,
             pendingByFp.emplace(task->fingerprint, task);
             queue.push_back(std::move(task));
             ++requestsAdmitted;
-            event = "request_admitted";
+            publishAdmittedLocked(run, "run");
             admitted = true;
         }
     }

@@ -218,6 +218,15 @@ class Server
     void publishRequestEvent(const char *type, const std::string &run,
                              const char *op,
                              const obs::Json *extra = nullptr);
+    /**
+     * Publish request_admitted for a task just queued. queueMtx must be
+     * held, so no worker can pop the task and publish its
+     * request_start first.
+     */
+    void publishAdmittedLocked(const std::string &run, const char *op);
+    /** A request event with the queue gauges; queueMtx must be held. */
+    obs::Json requestEventLocked(const char *type, const std::string &run,
+                                 const char *op);
     void executeTask(const TaskPtr &task);
     void respond(const ConnPtr &conn, const obs::Json &doc);
     void respondError(const ConnPtr &conn, std::uint64_t id,

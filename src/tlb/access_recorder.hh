@@ -3,7 +3,7 @@
  * Narrow access-recording hook for the MMU, in the style of
  * obs::TraceHook: when a recorder is installed, every traced access
  * the kernels issue is reported to it — scalar accesses one by one,
- * bulk accessRange/translateRun calls as a single run record (the
+ * bulk translateRun calls as a single run record (the
  * per-element boundary accesses the bulk path issues internally are
  * suppressed, so a recorded stream mirrors the *call* sequence, not
  * the translation mechanics). With no recorder installed the hot path
@@ -37,7 +37,7 @@ class AccessRecorder
     virtual void recordAccess(std::uint64_t vaddr, bool write,
                               unsigned tag) = 0;
 
-    /** One bulk strided run (accessRange/translateRun call). */
+    /** One bulk strided run (translateRun call). */
     virtual void recordRun(std::uint64_t start, std::size_t count,
                            std::size_t stride, bool write,
                            unsigned tag) = 0;

@@ -5,45 +5,11 @@
 
 #include "tlb/mmu.hh"
 
-#include <cstdlib>
-
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace gpsm::tlb
 {
-
-namespace
-{
-
-bool &
-memoFlag()
-{
-    // First use reads the environment so whole-process arming (the CI
-    // identity gate) needs no per-binary plumbing. Opt-in: a memo hit
-    // requires the page to still be L1-TLB-resident, which is exactly
-    // where the lookup chain is already a handful of way compares, so
-    // the default avoids the hash + probe + per-miss store.
-    static bool on = []() {
-        const char *env = std::getenv("GPSM_MMU_MEMO");
-        return env != nullptr && env[0] == '1';
-    }();
-    return on;
-}
-
-} // namespace
-
-void
-setTranslationMemo(bool on)
-{
-    memoFlag() = on;
-}
-
-bool
-translationMemoEnabled()
-{
-    return memoFlag();
-}
 
 Mmu::Mmu(vm::AddressSpace &target_space, Tlb l1, Tlb l2,
          const CostModel &cost_model,
@@ -62,7 +28,6 @@ Mmu::Mmu(vm::AddressSpace &target_space, Tlb l1, Tlb l2,
     }
     if (space.remoteMemoryNode() != nullptr)
         remoteFrameBase = mem::remoteNodeFrameBase;
-    memoOn = translationMemoEnabled();
 }
 
 void

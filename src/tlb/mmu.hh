@@ -32,21 +32,6 @@ namespace gpsm::tlb
 {
 
 /**
- * Process-wide switch for the VPN-indexed translation memo (default
- * OFF; GPSM_MMU_MEMO=1 in the environment or setTranslationMemo(true)
- * arms it). Each Mmu samples the switch at construction. The memo is a
- * pure host-side shortcut — counters are byte-identical either way
- * (CI-gated armed vs live) — but measured end-to-end it does not pay
- * for itself: a hit requires the page to still be L1-TLB-resident,
- * where the full chain is already a few way compares, so the armed
- * probe + per-miss store costs ~2-5% on the figure benches (see
- * DESIGN.md §5i and docs/BENCH_substrate.json). It stays opt-in for
- * high-tag-entropy experiments and the differential suite.
- */
-void setTranslationMemo(bool on);
-bool translationMemoEnabled();
-
-/**
  * Narrow fault-injection hook for swap timing: an active swap-latency
  * window multiplies the cycles charged for swap traffic (the device
  * transiently serving I/O slower). Implemented by fault::FaultSession;
@@ -109,25 +94,11 @@ class Mmu
      * sequential pattern of array initialization/loading and of
      * straight-line CSR scans. Counter semantics are identical to
      * calling access() once per element (asserted by
-     * tests/test_mmu_reuse): elements sharing the page of a validated
-     * reuse entry are charged in one batched step instead of one probe
-     * sequence each.
-     */
-    void
-    accessRange(Addr start, std::size_t count, std::size_t stride,
-                bool write, unsigned tag = 0)
-    {
-        translateRun(start, count, stride, write, tag);
-    }
-
-    /**
-     * Batched translation path behind accessRange: per-element
-     * access() at page boundaries (and wherever reuse cannot be
-     * proven), bulk accounting for the run of elements that the
-     * just-validated translation covers. Bulk steps never cross a
-     * periodic/sample hook boundary and are skipped entirely while
-     * invalidations are pending, so every observable counter matches
-     * the per-element loop exactly.
+     * tests/test_mmu_reuse): per-element access() at page boundaries
+     * (and wherever reuse cannot be proven), bulk accounting for the
+     * run of elements that the just-validated translation covers. Bulk
+     * steps never cross a periodic/sample hook boundary and are skipped
+     * entirely while invalidations are pending.
      */
     void translateRun(Addr start, std::size_t count, std::size_t stride,
                       bool write, unsigned tag = 0);
@@ -359,40 +330,7 @@ class Mmu
             re.probes = 3;
             break;
         }
-        if (memoOn)
-            memo[memoSlot(vaddr)] = re;
     }
-
-  public:
-    /** Direct-mapped memo geometry (shared across tags). */
-    static constexpr unsigned memoBits = 8;
-    static constexpr unsigned memoEntries = 1u << memoBits;
-
-    /**
-     * Memo slot for @p vaddr: Fibonacci hash of the base-page VPN, so
-     * neighbouring pages (strided kernels) and same-set VPNs (which
-     * share low bits) spread over the whole memo.
-     */
-    unsigned
-    memoSlot(Addr vaddr) const
-    {
-        return static_cast<unsigned>(
-            ((vaddr >> baseShift) * 0x9E3779B97F4A7C15ull) >>
-            (64 - memoBits));
-    }
-
-    /** Prefetch the memo line @p vaddr would index (replay dispatch
-     *  issues this a few records ahead of the access itself). No-op
-     *  with the memo disarmed — the array is never read then, and
-     *  pulling its lines would only pollute the host cache. */
-    void
-    prefetchMemo(Addr vaddr) const
-    {
-        if (memoOn)
-            __builtin_prefetch(&memo[memoSlot(vaddr)]);
-    }
-
-  private:
 
     vm::AddressSpace &space;
     CostModel costs;
@@ -432,27 +370,6 @@ class Mmu
 
     std::array<TagStats, numTags> tags;
     std::array<ReuseEntry, numTags> reuse;
-
-    /**
-     * VPN-indexed translation memo: a small direct-mapped cache of
-     * recent ReuseEntry values shared by every tag, indexed by a hash
-     * of the base-page VPN. Where the per-tag entry only survives
-     * *consecutive* same-page accesses of one tag, the memo holds one
-     * translation per slot across the whole irregular working set, so
-     * random property reads short-circuit the probe walk at roughly
-     * the modeled DTLB hit rate.
-     *
-     * Validity is exactly ReuseEntry's: a hit requires the address in
-     * [pageBase, pageEnd) and the pinned way to still carry (valid,
-     * vpn, cls) — any eviction, invalidation, refresh or flush that
-     * touched the way breaks one of those, and a matching (vpn, cls)
-     * means lookup() would have hit this very way with the same probe
-     * count, so accounting through touchEntry() is counter-exact. With
-     * the memo disabled entries are never populated (pageEnd stays 0),
-     * so every probe falls through to the full chain untouched.
-     */
-    std::array<ReuseEntry, memoEntries> memo;
-    bool memoOn = false;
 };
 
 inline void
@@ -478,43 +395,25 @@ Mmu::access(Addr vaddr, bool write, unsigned tag)
         dtlb.touchEntry(re.way, re.probes);
         frame = re.way->frame;
     } else {
-        ReuseEntry &me = memo[memoSlot(vaddr)];
-        if (vaddr >= me.pageBase && vaddr < me.pageEnd &&
-            me.way->valid && me.way->vpn == me.vpn &&
-            me.way->cls == me.cls) {
-            // Memo hit: same validation and accounting as the per-tag
-            // entry. The copy into reuse[tag] reproduces exactly what
-            // noteReuse() would store for this vaddr (same page, same
-            // way), so follow-up same-page accesses of this tag take
-            // the first branch.
-            dtlb.touchEntry(me.way, me.probes);
-            frame = me.way->frame;
-            re = me;
+        // L1: probe every size class (parallel sub-TLBs in hardware).
+        Tlb::Probe p = dtlb.lookup(vaddr >> baseShift,
+                                   vm::PageSizeClass::Base);
+        if (p.hit) {
+            noteReuse(tag, p.way, vm::PageSizeClass::Base, vaddr);
+            frame = p.frame;
         } else {
-            // L1: probe every size class (parallel sub-TLBs in
-            // hardware).
-            Tlb::Probe p = dtlb.lookup(vaddr >> baseShift,
-                                       vm::PageSizeClass::Base);
+            p = dtlb.lookup(vaddr >> hugeShift, vm::PageSizeClass::Huge);
             if (p.hit) {
-                noteReuse(tag, p.way, vm::PageSizeClass::Base, vaddr);
+                noteReuse(tag, p.way, vm::PageSizeClass::Huge, vaddr);
+                frame = p.frame;
+            } else if (giantShift != 0 &&
+                       (p = dtlb.lookup(vaddr >> giantShift,
+                                        vm::PageSizeClass::Giant))
+                           .hit) {
+                noteReuse(tag, p.way, vm::PageSizeClass::Giant, vaddr);
                 frame = p.frame;
             } else {
-                p = dtlb.lookup(vaddr >> hugeShift,
-                                vm::PageSizeClass::Huge);
-                if (p.hit) {
-                    noteReuse(tag, p.way, vm::PageSizeClass::Huge,
-                              vaddr);
-                    frame = p.frame;
-                } else if (giantShift != 0 &&
-                           (p = dtlb.lookup(vaddr >> giantShift,
-                                            vm::PageSizeClass::Giant))
-                               .hit) {
-                    noteReuse(tag, p.way, vm::PageSizeClass::Giant,
-                              vaddr);
-                    frame = p.frame;
-                } else {
-                    frame = accessMiss(vaddr, write, tag);
-                }
+                frame = accessMiss(vaddr, write, tag);
             }
         }
     }

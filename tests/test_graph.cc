@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <numeric>
 #include <set>
 
@@ -13,7 +12,6 @@
 #include "graph/csr.hh"
 #include "graph/datasets.hh"
 #include "graph/generators.hh"
-#include "graph/io.hh"
 #include "util/logging.hh"
 
 using namespace gpsm;
@@ -206,58 +204,6 @@ TEST(Generators, UniformCoversRange)
         seen.insert(e.dst);
     }
     EXPECT_GT(seen.size(), 80u);
-}
-
-TEST(Io, CsrRoundTrip)
-{
-    Builder b(64);
-    auto edges = uniformEdges(64, 4, 9);
-    CsrGraph g = b.fromEdgesWeighted(edges, 100, 1);
-    const std::string path = "/tmp/gpsm_test_roundtrip.csr";
-    saveCsr(g, path);
-    CsrGraph back = loadCsr(path);
-    EXPECT_EQ(back.vertexArray(), g.vertexArray());
-    EXPECT_EQ(back.edgeArray(), g.edgeArray());
-    EXPECT_EQ(back.valuesArray(), g.valuesArray());
-    std::remove(path.c_str());
-}
-
-TEST(Io, CsrFileBytesMatchesDiskSize)
-{
-    Builder b(32);
-    CsrGraph g = b.fromEdges(uniformEdges(32, 4, 2));
-    const std::string path = "/tmp/gpsm_test_size.csr";
-    saveCsr(g, path);
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    EXPECT_EQ(static_cast<std::uint64_t>(std::ftell(f)),
-              csrFileBytes(g));
-    std::fclose(f);
-    std::remove(path.c_str());
-}
-
-TEST(Io, LoadCsrRejectsGarbage)
-{
-    const std::string path = "/tmp/gpsm_test_garbage.csr";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    std::fputs("not a csr file at all", f);
-    std::fclose(f);
-    EXPECT_THROW(loadCsr(path), FatalError);
-    std::remove(path.c_str());
-}
-
-TEST(Io, EdgeListRoundTrip)
-{
-    Builder b(16);
-    CsrGraph g = b.fromEdgesWeighted(uniformEdges(16, 3, 7), 50, 4);
-    const std::string path = "/tmp/gpsm_test_el.txt";
-    saveEdgeList(g, path);
-    CsrGraph back = loadEdgeList(path, 16);
-    EXPECT_EQ(back.vertexArray(), g.vertexArray());
-    EXPECT_EQ(back.edgeArray(), g.edgeArray());
-    EXPECT_EQ(back.valuesArray(), g.valuesArray());
-    std::remove(path.c_str());
 }
 
 TEST(Datasets, FourStandardSpecsMatchTable2)

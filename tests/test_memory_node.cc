@@ -7,8 +7,8 @@
 
 #include <vector>
 
+#include "mem/addr_space_cache.hh"
 #include "mem/memory_node.hh"
-#include "mem/page_cache.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
 
@@ -118,11 +118,12 @@ TEST(MemoryNode, BasicAllocateFree)
 TEST(MemoryNode, ReclaimsPageCacheUnderPressure)
 {
     MemoryNode node(smallNode());
-    PageCache cache(node);
+    AddressSpaceCache cache(node);
+    const FileId file = cache.createFile("input-files");
     TestClient client(node);
 
     // Fill the whole node with page cache.
-    EXPECT_EQ(cache.cacheFileData(node.totalBytes()),
+    EXPECT_EQ(cache.populate(file, 0, node.totalBytes()).bytes,
               node.totalBytes());
     EXPECT_EQ(node.freeBytes(), 0u);
 
@@ -134,7 +135,7 @@ TEST(MemoryNode, ReclaimsPageCacheUnderPressure)
     ASSERT_TRUE(out.success);
     EXPECT_EQ(out.reclaimedPages, 1u);
     EXPECT_EQ(node.reclaimedPages.value(), 1u);
-    EXPECT_EQ(cache.cachedPages(), node.totalBytes() / 4096 - 1);
+    EXPECT_EQ(cache.residentPagesOf(file), node.totalBytes() / 4096 - 1);
 }
 
 TEST(MemoryNode, SwapsOutMovablePagesWhenAllowed)

@@ -26,8 +26,9 @@ constexpr std::uint64_t hugeB = 256_KiB;
 struct World
 {
     explicit World(const ThpConfig &thp, bool with_cache = false,
-                   std::uint64_t node_bytes = 16_MiB)
-        : node(params(node_bytes)), swap(16_MiB, pageB),
+                   std::uint64_t node_bytes = 16_MiB,
+                   unsigned huge_order = 6)
+        : node(params(node_bytes, huge_order)), swap(16_MiB, pageB),
           space(node, swap, thp),
           mmu(space, Tlb("dtlb", {TlbGeometry{16, 4}, TlbGeometry{8, 4}}),
               Tlb::makeUnified("stlb", 64, 8), CostModel{},
@@ -41,12 +42,12 @@ struct World
     }
 
     static MemoryNode::Params
-    params(std::uint64_t bytes)
+    params(std::uint64_t bytes, unsigned huge_order)
     {
         MemoryNode::Params p;
         p.bytes = bytes;
         p.basePageBytes = pageB;
-        p.hugeOrder = 6;
+        p.hugeOrder = huge_order;
         return p;
     }
 
@@ -209,4 +210,86 @@ TEST(Mmu, StatsRegistration)
     w.mmu.registerStats(stats, "mmu");
     EXPECT_TRUE(stats.has("mmu.accesses"));
     EXPECT_TRUE(stats.has("mmu.cycles.translation"));
+}
+
+// Analytic reference counts for a sequential scan over fresh memory,
+// derived from the model's rules rather than from a second run:
+// - the first access to a page misses both L1 size classes (one DTLB
+//   miss), finds nothing in the STLB (the page was never translated,
+//   so no STLB hit) and walks once, and that walk demand-faults the
+//   page in (one fault of the page's size class);
+// - every later access to the same page hits the L1 entry the walk
+//   installed, because a sequential scan never returns to an earlier
+//   page and so nothing it needs is evicted.
+// Per page of P bytes scanned at stride S: P/S accesses, 1 DTLB miss,
+// 1 walk, 1 fault, 0 STLB hits. translateRun must give the same
+// counts as the per-element loop.
+
+namespace
+{
+
+/**
+ * Map @p pages pages of 2^@p order base pages each (order 0: base
+ * pages), scan them once at @p stride — element by element, or as one
+ * translateRun when @p bulk — and check the counts above.
+ */
+void
+expectAnalyticScan(World &w, std::uint64_t pages, unsigned order,
+                   std::uint64_t stride, bool bulk)
+{
+    const std::uint64_t page_bytes = pageB << order;
+    const std::uint64_t bytes = pages * page_bytes;
+    const Addr a = w.space.mmap(bytes, "arr");
+    ASSERT_EQ(a % page_bytes, 0u);
+    if (bulk) {
+        w.mmu.translateRun(a, bytes / stride, stride, /*write=*/true);
+    } else {
+        for (Addr off = 0; off < bytes; off += stride)
+            w.mmu.access(a + off, /*write=*/true);
+    }
+
+    const bool huge = order != 0;
+    const CostModel &c = w.mmu.costModel();
+    EXPECT_EQ(w.mmu.accesses.value(), bytes / stride);
+    EXPECT_EQ(w.mmu.dtlbMisses.value(), pages);
+    EXPECT_EQ(w.mmu.stlbHits.value(), 0u);
+    EXPECT_EQ(w.mmu.walks.value(), pages);
+    EXPECT_EQ(w.mmu.walksBase.value(), huge ? 0 : pages);
+    EXPECT_EQ(w.mmu.walksHuge.value(), huge ? pages : 0);
+    EXPECT_EQ(w.space.minorFaults.value(), huge ? 0 : pages);
+    EXPECT_EQ(w.space.hugeFaults.value(), huge ? pages : 0);
+    EXPECT_EQ(w.mmu.translationCycles.value(),
+              pages * (huge ? c.walkCyclesHuge : c.walkCyclesBase));
+    EXPECT_EQ(w.mmu.faultCycles.value(),
+              pages * (huge ? c.hugeFaultCycles(order)
+                            : c.minorFaultCycles));
+    EXPECT_EQ(w.mmu.baseCycles.value(),
+              bytes / stride * c.baseAccessCycles);
+}
+
+} // namespace
+
+TEST(MmuAnalytic, SequentialScanOfFreshBasePages)
+{
+    for (const bool bulk : {false, true}) {
+        SCOPED_TRACE(bulk ? "translateRun" : "per-element access");
+        World w(ThpConfig::never());
+        expectAnalyticScan(w, /*pages=*/64, /*order=*/0, /*stride=*/8,
+                           bulk);
+    }
+}
+
+TEST(MmuAnalytic, SequentialScanOfFreshHugeRegions)
+{
+    // 4 KiB base pages with 2 MiB huge pages (order 9), THP always,
+    // over a 2 MiB-aligned VMA on a fresh node: every region's first
+    // touch takes a huge fault, and the huge L1 entry then covers the
+    // other 511 base pages of the region.
+    for (const bool bulk : {false, true}) {
+        SCOPED_TRACE(bulk ? "translateRun" : "per-element access");
+        World w(ThpConfig::always(), /*with_cache=*/false, 64_MiB,
+                /*huge_order=*/9);
+        expectAnalyticScan(w, /*pages=*/4, /*order=*/9, /*stride=*/64,
+                           bulk);
+    }
 }

@@ -1,12 +1,14 @@
 /**
  * @file
- * Page cache model tests.
+ * Page cache model tests: staged single-use input data (paper §4.3) in
+ * the machine-wide AddressSpaceCache.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/machine.hh"
+#include "mem/addr_space_cache.hh"
 #include "mem/memory_node.hh"
-#include "mem/page_cache.hh"
 #include "util/units.hh"
 
 using namespace gpsm;
@@ -30,43 +32,68 @@ smallNode()
 TEST(PageCache, ByteAccountingIsExact)
 {
     MemoryNode node(smallNode());
-    PageCache cache(node);
+    AddressSpaceCache cache(node);
+    const FileId file = cache.createFile("input-files");
     // 5000 bytes occupy two frames but cache exactly 5000 bytes: the
     // final page is clamped to the requested size instead of being
     // over-reported as a whole page.
-    EXPECT_EQ(cache.cacheFileData(5000), 5000u);
-    EXPECT_EQ(cache.cachedPages(), 2u);
-    EXPECT_EQ(cache.cachedBytes(), 5000u);
+    const AddressSpaceCache::PopulateResult first =
+        cache.populate(file, 0, 5000);
+    EXPECT_EQ(first.bytes, 5000u);
+    EXPECT_EQ(first.pages, 2u);
+    EXPECT_EQ(cache.residentPagesOf(file), 2u);
+    EXPECT_EQ(cache.residentBytesOf(file), 5000u);
     EXPECT_EQ(cache.pagesCached.value(), 2u);
     cache.checkInvariants();
 
     // A follow-up load starts on a fresh page (no partial-page
     // sharing), and page-aligned loads report exactly what they ask.
-    EXPECT_EQ(cache.cacheFileData(8192), 8192u);
-    EXPECT_EQ(cache.cachedPages(), 4u);
-    EXPECT_EQ(cache.cachedBytes(), 5000u + 8192u);
+    EXPECT_EQ(cache.populate(file, first.pages, 8192).bytes, 8192u);
+    EXPECT_EQ(cache.residentPagesOf(file), 4u);
+    EXPECT_EQ(cache.residentBytesOf(file), 5000u + 8192u);
     cache.checkInvariants();
+}
+
+TEST(PageCache, MachineStagingStartsEachLoadOnAFreshPage)
+{
+    core::SystemConfig cfg = core::SystemConfig::scaled();
+    cfg.node.bytes = 32_MiB;
+    core::SimMachine m(cfg, vm::ThpConfig::never());
+    const std::uint64_t page = cfg.node.basePageBytes;
+    EXPECT_EQ(m.stageInputFiles(5000), 5000u);
+    EXPECT_EQ(m.stageInputFiles(2 * page), 2 * page);
+    EXPECT_EQ(m.stagedInputBytes(), 5000u + 2 * page);
+    // 5000 bytes take two pages, the second load two more of its own.
+    EXPECT_EQ(m.fileCache().residentPages(),
+              (5000 + page - 1) / page + 2);
+    m.fileCache().checkInvariants();
 }
 
 TEST(PageCache, StopsAtExhaustionWithoutEscalating)
 {
     MemoryNode node(smallNode());
-    PageCache cache(node);
+    AddressSpaceCache cache(node);
+    const FileId file = cache.createFile("input-files");
     // Ask for double the node: caching is best effort.
-    EXPECT_EQ(cache.cacheFileData(8_MiB), 4_MiB);
+    EXPECT_EQ(cache.populate(file, 0, 8_MiB).bytes, 4_MiB);
     EXPECT_EQ(node.freeBytes(), 0u);
 }
 
 TEST(PageCache, ReclaimIsFifoAndBounded)
 {
     MemoryNode node(smallNode());
-    PageCache cache(node);
-    cache.cacheFileData(16 * 4096);
+    AddressSpaceCache cache(node);
+    const FileId file = cache.createFile("input-files");
+    cache.populate(file, 0, 16 * 4096);
+    // Staged pages are never touched, so CLOCK evicts in insertion
+    // order: the first four pages go first.
     EXPECT_EQ(cache.reclaim(4), 4u);
-    EXPECT_EQ(cache.cachedPages(), 12u);
+    EXPECT_EQ(cache.residentPagesOf(file), 12u);
+    for (std::uint64_t i = 0; i < 16; ++i)
+        EXPECT_EQ(cache.isResident(file, i), i >= 4) << "page " << i;
     cache.checkInvariants();
     EXPECT_EQ(cache.reclaim(100), 12u);
-    EXPECT_EQ(cache.cachedPages(), 0u);
+    EXPECT_EQ(cache.residentPagesOf(file), 0u);
     EXPECT_EQ(cache.reclaim(1), 0u);
     cache.checkInvariants();
 }
@@ -74,10 +101,12 @@ TEST(PageCache, ReclaimIsFifoAndBounded)
 TEST(PageCache, DropAllFreesEverything)
 {
     MemoryNode node(smallNode());
-    PageCache cache(node);
-    cache.cacheFileData(1_MiB);
-    cache.dropAll();
-    EXPECT_EQ(cache.cachedPages(), 0u);
+    AddressSpaceCache cache(node);
+    const FileId file = cache.createFile("input-files");
+    cache.populate(file, 0, 1_MiB);
+    EXPECT_EQ(cache.dropFile(file), 1_MiB / 4096);
+    EXPECT_EQ(cache.residentPagesOf(file), 0u);
+    EXPECT_EQ(cache.residentBytesOf(file), 0u);
     EXPECT_EQ(node.freeBytes(), node.totalBytes());
     node.buddy().checkInvariants();
 }
@@ -85,7 +114,8 @@ TEST(PageCache, DropAllFreesEverything)
 TEST(PageCache, SurvivesMigrationDuringCompaction)
 {
     MemoryNode node(smallNode());
-    PageCache cache(node);
+    AddressSpaceCache cache(node);
+    const FileId file = cache.createFile("input-files");
 
     // Leave exactly two usable regions: pin 14 regions wholesale,
     // poison one more with a single unmovable page, and put 20 cache
@@ -98,8 +128,8 @@ TEST(PageCache, SurvivesMigrationDuringCompaction)
         ASSERT_NE(f, invalidFrame);
         pinned.push_back(f);
     }
-    cache.cacheFileData(20 * 4096);
-    const std::uint64_t pages_before = cache.cachedPages();
+    cache.populate(file, 0, 20 * 4096);
+    const std::uint64_t pages_before = cache.residentPagesOf(file);
     // Poison whichever region is still fully free.
     FrameNum poison = invalidFrame;
     for (FrameNum r = 0; r < 16; ++r) {
@@ -121,7 +151,7 @@ TEST(PageCache, SurvivesMigrationDuringCompaction)
     AllocOutcome out = node.allocate(req);
     ASSERT_TRUE(out.success);
     EXPECT_EQ(out.migratedPages, 20u);
-    EXPECT_EQ(cache.cachedPages(), pages_before);
+    EXPECT_EQ(cache.residentPagesOf(file), pages_before);
     // Migration fixup regression: the moved pages were retargeted
     // in place (no stale entries, no unbounded policy growth), so
     // the structural invariants — policy size == resident pages ==
@@ -140,8 +170,9 @@ TEST(PageCache, SingleUseInterferenceScenario)
     // eats free memory during loading, so a later huge-page fault
     // without reclaim rights fails even though the data is single-use.
     MemoryNode node(smallNode());
-    PageCache cache(node);
-    cache.cacheFileData(node.totalBytes());
+    AddressSpaceCache cache(node);
+    const FileId file = cache.createFile("input-files");
+    cache.populate(file, 0, node.totalBytes());
 
     MemoryNode::Request huge;
     huge.order = 6;

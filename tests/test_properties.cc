@@ -1,7 +1,6 @@
 /**
  * @file
  * Cross-cutting property tests (TEST_P sweeps):
- * - CSR round-trips through IO for every dataset family;
  * - kernel results are invariant under every reordering method;
  * - translation stability: a virtual page keeps its frame until an
  *   event that legitimately moves it;
@@ -12,14 +11,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "core/experiment.hh"
 #include "core/kernels.hh"
 #include "core/views.hh"
 #include "graph/datasets.hh"
-#include "graph/io.hh"
 #include "graph/reorder.hh"
 #include "util/rng.hh"
 #include "util/units.hh"
@@ -29,26 +28,15 @@ using namespace gpsm::core;
 using namespace gpsm::graph;
 
 // ---------------------------------------------------------------------
-// CSR IO round-trip across the dataset matrix.
+// Generator determinism across the dataset matrix. The name is a
+// std::string, not a const char *: gtest prints a pointer parameter
+// with its address, and that would put the load address into the
+// test's listed name.
 
 class DatasetMatrix
-    : public ::testing::TestWithParam<std::tuple<const char *, bool>>
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
 {
 };
-
-TEST_P(DatasetMatrix, IoRoundTripPreservesEverything)
-{
-    const auto [name, weighted] = GetParam();
-    CsrGraph g = makeDataset(datasetByName(name), 4096, weighted, 3);
-    const std::string path =
-        std::string("/tmp/gpsm_prop_") + name + ".csr";
-    saveCsr(g, path);
-    CsrGraph back = loadCsr(path);
-    EXPECT_EQ(back.vertexArray(), g.vertexArray());
-    EXPECT_EQ(back.edgeArray(), g.edgeArray());
-    EXPECT_EQ(back.valuesArray(), g.valuesArray());
-    std::remove(path.c_str());
-}
 
 TEST_P(DatasetMatrix, GenerationIsDeterministic)
 {
@@ -69,7 +57,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "wiki"),
                        ::testing::Bool()),
     [](const auto &info) {
-        return std::string(std::get<0>(info.param)) +
+        return std::get<0>(info.param) +
                (std::get<1>(info.param) ? "_weighted" : "_plain");
     });
 
@@ -141,6 +129,16 @@ struct PolicyCase
     double fraction;
     double frag;
 };
+
+// Without this gtest prints the raw bytes, padding included, so the
+// listed test name would carry whatever the padding happened to hold.
+void
+PrintTo(const PolicyCase &pc, std::ostream *os)
+{
+    *os << "{" << vm::thpModeName(pc.mode) << ", "
+        << allocOrderName(pc.order) << ", madv=" << pc.fraction
+        << ", frag=" << pc.frag << "}";
+}
 
 class PolicyProduct : public ::testing::TestWithParam<PolicyCase>
 {

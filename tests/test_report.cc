@@ -217,7 +217,7 @@ TEST(Report, DiffHandlesOneSidedRuns)
     EXPECT_FALSE(r.clean(strict));
 }
 
-TEST(Report, RenderAndTrajectoryAreWellFormed)
+TEST(Report, RenderIsWellFormed)
 {
     const std::string id = "00000000000000ee";
     const ReportStore before = storeWith(id, 10.0, 42.0);
@@ -229,15 +229,6 @@ TEST(Report, RenderAndTrajectoryAreWellFormed)
     const std::string diff_text = renderDiff(r, DiffOptions{});
     EXPECT_NE(diff_text.find("kernelSeconds"), std::string::npos);
     EXPECT_NE(diff_text.find("DIFF FAILED"), std::string::npos);
-
-    const obs::Json doc =
-        benchTrajectoryJson(r, DiffOptions{}, "test", "2026-01-01");
-    EXPECT_TRUE(doc.isObject());
-    const obs::Json *determinism = doc.find("determinism");
-    ASSERT_NE(determinism, nullptr);
-    const obs::Json *verdict = determinism->find("verdict");
-    ASSERT_NE(verdict, nullptr);
-    EXPECT_EQ(verdict->asString(), "regressed");
 }
 
 TEST(Report, ShardSelectionPartitionsBatches)

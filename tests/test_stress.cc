@@ -11,10 +11,10 @@
 #include <map>
 #include <vector>
 
+#include "mem/addr_space_cache.hh"
 #include "mem/fragmenter.hh"
 #include "mem/memhog.hh"
 #include "mem/memory_node.hh"
-#include "mem/page_cache.hh"
 #include "mem/swap_device.hh"
 #include "tlb/mmu.hh"
 #include "util/bitops.hh"
@@ -185,10 +185,11 @@ TEST_P(StressSeeds, PressuredMachineWithMmu)
     SwapDevice swap(16_MiB, pageB);
     ThpConfig thp = ThpConfig::always();
     AddressSpace space(node, swap, thp);
-    PageCache cache(node);
+    AddressSpaceCache cache(node);
+    const FileId staged = cache.createFile("input-files");
     Khugepaged daemon(space);
 
-    cache.cacheFileData(1_MiB);
+    cache.populate(staged, 0, 1_MiB);
     Fragmenter frag(node);
     frag.fragment(0.25);
 
@@ -218,7 +219,7 @@ TEST_P(StressSeeds, PressuredMachineWithMmu)
     EXPECT_GT(space.swapOutPages.value(), 0u); // pressure was real
 
     space.munmap(base);
-    cache.dropAll();
+    cache.dropFile(staged);
     frag.release();
     EXPECT_EQ(node.freeBytes(), node.totalBytes());
 }

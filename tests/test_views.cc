@@ -178,9 +178,9 @@ TEST(SimView, PageCacheInterferenceConsumesFreeMemory)
     opts.fileSource = FileSource::PageCacheLocal;
     SimView<std::uint64_t> view(m, g, opts);
     view.load(0);
-    EXPECT_GT(m.pageCache().cachedBytes(), 0u);
+    EXPECT_GT(m.stagedInputBytes(), 0u);
     // Cached bytes equal the CSR file data (vertex + edge arrays).
-    EXPECT_GE(m.pageCache().cachedBytes(),
+    EXPECT_GE(m.stagedInputBytes(),
               (g.numNodes() + 1) * 8 + g.numEdges() * 4);
 }
 

@@ -19,9 +19,6 @@
  *   --tolerance F              default relative tolerance (0.05)
  *   --tolerance-metric M=F     per-metric override (repeatable)
  *   --fail-on-missing          runs present on one side only fail
- *   --emit-bench PATH          also write the BENCH_*.json trajectory
- *   --description TEXT         trajectory description field
- *   --date YYYY-MM-DD          trajectory date field
  */
 
 #include <cstdio>
@@ -51,10 +48,7 @@ int usage(FILE *out)
         "  --tolerance F            relative tolerance "
         "(default 0.05)\n"
         "  --tolerance-metric M=F   per-metric tolerance override\n"
-        "  --fail-on-missing        one-sided runs fail the diff\n"
-        "  --emit-bench PATH        write BENCH trajectory JSON\n"
-        "  --description TEXT       trajectory description\n"
-        "  --date YYYY-MM-DD        trajectory date\n");
+        "  --fail-on-missing        one-sided runs fail the diff\n");
     return out == stdout ? 0 : 2;
 }
 
@@ -82,9 +76,6 @@ int runDiff(const std::vector<std::string> &args)
         return usage(stderr);
 
     core::DiffOptions opts;
-    std::string emit_bench;
-    std::string description = "gpsm_report diff";
-    std::string date;
 
     std::size_t i = 2;
     auto next = [&](const char *flag) -> std::string {
@@ -107,12 +98,6 @@ int runDiff(const std::vector<std::string> &args)
                 std::strtod(spec.c_str() + eq + 1, nullptr);
         } else if (arg == "--fail-on-missing") {
             opts.failOnMissing = true;
-        } else if (arg == "--emit-bench") {
-            emit_bench = next("--emit-bench");
-        } else if (arg == "--description") {
-            description = next("--description");
-        } else if (arg == "--date") {
-            date = next("--date");
         } else {
             fatal("unknown diff option '%s'", arg.c_str());
         }
@@ -126,20 +111,6 @@ int runDiff(const std::vector<std::string> &args)
     const core::DiffReport report =
         core::diffStores(before, after, opts);
     std::fputs(core::renderDiff(report, opts).c_str(), stdout);
-
-    if (!emit_bench.empty()) {
-        const obs::Json doc =
-            core::benchTrajectoryJson(report, opts, description,
-                                      date);
-        FILE *f = std::fopen(emit_bench.c_str(), "wb");
-        if (f == nullptr)
-            fatal("cannot write %s", emit_bench.c_str());
-        const std::string text = doc.dump(2);
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        inform("wrote %s", emit_bench.c_str());
-    }
 
     return report.clean(opts) ? 0 : 1;
 }
