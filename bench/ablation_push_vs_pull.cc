@@ -43,7 +43,7 @@ Sample
 measure(const Options &opts, const graph::CsrGraph &g, bool prop_thp,
         Kernel &&kernel)
 {
-    SimMachine machine(systemConfig(opts),
+    SimMachine machine(opts.base.sys,
                        prop_thp ? vm::ThpConfig::madvise()
                                 : vm::ThpConfig::never());
     SimView<std::uint64_t> view(machine, g, {});
@@ -82,7 +82,7 @@ main(int argc, char **argv)
 
     for (const std::string &ds : opts.datasets) {
         const graph::CsrGraph g = graph::makeDataset(
-            graph::datasetByName(ds), opts.divisor);
+            graph::datasetByName(ds), opts.base.scaleDivisor);
         const graph::NodeId root = defaultRoot(g);
         const graph::CsrGraph t = graph::transpose(g);
 

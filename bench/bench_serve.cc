@@ -410,7 +410,7 @@ eventsBenchMain(const std::string &socket_path,
 
 int
 main(int argc, char **argv)
-{
+try {
     bool quick = false;
     bool chaos = false;
     bool events_mode = false;
@@ -688,4 +688,6 @@ main(int argc, char **argv)
         return 1;
     }
     return 0;
+} catch (const FatalError &) {
+    return 1; // fatal() has printed the message
 }

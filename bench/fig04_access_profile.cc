@@ -35,9 +35,9 @@ main(int argc, char **argv)
 
     for (const std::string &ds : opts.datasets) {
         const graph::CsrGraph g = graph::makeDataset(
-            graph::datasetByName(ds), opts.divisor);
+            graph::datasetByName(ds), opts.base.scaleDivisor);
 
-        SimMachine machine(systemConfig(opts),
+        SimMachine machine(opts.base.sys,
                            vm::ThpConfig::never());
         SimView<std::uint64_t> view(machine, g, {});
         view.load(unreachedDist);

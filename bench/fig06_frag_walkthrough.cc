@@ -50,9 +50,9 @@ main(int argc, char **argv)
                 opts);
 
     const graph::CsrGraph g = graph::makeDataset(
-        graph::datasetByName("kron"), opts.divisor);
+        graph::datasetByName("kron"), opts.base.scaleDivisor);
 
-    SimMachine machine(systemConfig(opts), vm::ThpConfig::always());
+    SimMachine machine(opts.base.sys, vm::ThpConfig::always());
 
     TableWriter table("fig06");
     table.setHeader({"step", "free bytes", "free huge regions",

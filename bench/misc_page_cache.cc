@@ -41,7 +41,7 @@ Outcome
 loadAndRun(const Options &opts, const graph::CsrGraph &g,
            FileSource source)
 {
-    SystemConfig sys = systemConfig(opts);
+    SystemConfig sys = opts.base.sys;
     SimMachine machine(sys, vm::ThpConfig::always());
 
     // Slack comfortably above the huge-allocation watermark, so the
@@ -90,7 +90,7 @@ main(int argc, char **argv)
 
     for (const std::string &ds : opts.datasets) {
         const graph::CsrGraph g = graph::makeDataset(
-            graph::datasetByName(ds), opts.divisor);
+            graph::datasetByName(ds), opts.base.scaleDivisor);
 
         const Outcome cached =
             loadAndRun(opts, g, FileSource::PageCacheLocal);

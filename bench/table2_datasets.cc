@@ -27,7 +27,7 @@ main(int argc, char **argv)
 
     for (const auto &spec : graph::standardDatasets()) {
         const graph::CsrGraph g =
-            graph::makeDataset(spec, opts.divisor);
+            graph::makeDataset(spec, opts.base.scaleDivisor);
         note("  generated %s", g.summary(spec.shortName).c_str());
         table.addRow({spec.paperName,
                       std::to_string(spec.paperNodes),
@@ -43,7 +43,7 @@ main(int argc, char **argv)
     // Degree distributions (hotness skew drives everything else).
     for (const auto &spec : graph::standardDatasets()) {
         const graph::CsrGraph g =
-            graph::makeDataset(spec, opts.divisor);
+            graph::makeDataset(spec, opts.base.scaleDivisor);
         auto h = g.degreeHistogram();
         std::cout << spec.shortName
                   << " out-degree: mean=" << TableWriter::num(h.mean(), 1)

@@ -2,11 +2,10 @@
 # Run every bench binary, teeing combined output. Usage:
 #   scripts/run_benches.sh [output_file] [bench flags...]
 #
-# Any argument starting with '-' (e.g. --quick, --jobs N, --apps ...)
-# is forwarded to the bench harness binaries; the first non-flag
-# argument names the output file. The value-taking flags listed in the
-# case below mirror bench/common.cc. Every bench binary accepts the
-# shared harness flags; micro_substrate and bench_serve run no
+# The output file is the first argument when that argument does not
+# start with '-' (default bench_output.txt); every other argument is
+# forwarded unchanged to each bench binary. Every bench binary accepts
+# the shared harness flags; micro_substrate and bench_serve run no
 # experiments and ignore all of them except --quick.
 #
 # Robustness:
@@ -15,39 +14,27 @@
 # - A failing or timed-out bench does not stop the suite: the rest
 #   still run, a PASS/FAIL/TIMEOUT summary is printed, and the exit
 #   code is nonzero if anything was not PASS.
-# - Unless GPSM_RESULT_JOURNAL is already set (or GPSM_NO_JOURNAL=1),
-#   results are journaled next to the output file, so re-running after
-#   a kill skips every experiment that already finished.
+# - Unless the flags name a --journal (or GPSM_NO_JOURNAL=1), results
+#   are journaled next to the output file, so re-running after a kill
+#   skips every experiment that already finished.
 set -u
 
-out=""
-flags=()
-while [ $# -gt 0 ]; do
-    case "$1" in
-    --jobs|--divisor|--apps|--datasets|--journal|--timeout-seconds|--shard|--metrics-dir|--sample-interval|--oo-ratio|--eviction)
-        flags+=("$1" "$2")
-        shift 2
-        ;;
-    -*)
-        flags+=("$1")
-        shift
-        ;;
-    *)
-        if [ -z "$out" ]; then
-            out=$1
-        else
-            flags+=("$1")
-        fi
-        shift
-        ;;
-    esac
-done
-out=${out:-bench_output.txt}
+out=bench_output.txt
+if [ $# -gt 0 ] && [ "${1#-}" = "$1" ]; then
+    out=$1
+    shift
+fi
+flags=("$@")
 
 # Crash-safe resume by default: bench binaries skip journaled results.
-if [ -z "${GPSM_RESULT_JOURNAL:-}" ] && [ "${GPSM_NO_JOURNAL:-0}" != 1 ]; then
-    export GPSM_RESULT_JOURNAL="${out%.txt}_journal.gpsmj"
-fi
+case " $* " in
+*" --journal "*) ;;
+*)
+    if [ "${GPSM_NO_JOURNAL:-0}" != 1 ]; then
+        flags+=(--journal "${out%.txt}_journal.gpsmj")
+    fi
+    ;;
+esac
 
 # Per-bench wall-clock cap (seconds); empty disables.
 bench_timeout=${GPSM_BENCH_TIMEOUT:-}

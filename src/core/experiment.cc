@@ -366,7 +366,8 @@ runExperiment(const ExperimentConfig &cfg,
         // floor of 8 huge pages keeps the buddy allocator, watermark
         // and khugepaged viable at extreme ratios; the watermark is
         // clamped so huge reservations cannot starve base faults on
-        // the shrunken node.
+        // the shrunken node. A giant pool is pinned at boot, outside
+        // the page cache's reach, so its bytes come on top.
         if (cfg.oocRatio < 0.0)
             fatal("oocRatio must be positive (got %g)", cfg.oocRatio);
         sys.fileBackedCsr = true;
@@ -378,7 +379,9 @@ runExperiment(const ExperimentConfig &cfg,
                 cfg.oocRatio),
             huge);
         bytes = std::max(bytes, 8 * huge);
-        sys.node.bytes = bytes;
+        sys.node.bytes = bytes + (sys.node.giantPoolPages
+                                  << sys.node.giantOrder) *
+                                     sys.node.basePageBytes;
         sys.node.hugeWatermarkBytes =
             std::min(sys.node.hugeWatermarkBytes, bytes / 8);
     }

@@ -6,7 +6,7 @@
  * (host wall-clock per phase), not the simulated machine — the numbers
  * that tell us which scalar path to tighten next. It follows the same
  * dormancy discipline as telemetry: profiling is requested process-wide
- * via setProfiling() (bench --profile / GPSM_PROF=1); with it unset
+ * via setProfiling() (--profile); with it unset
  * (the default) every ProfScope is a no-op, nothing is accumulated, no
  * file or document gains a byte, and a run is bit-identical to a build
  * without this layer.

@@ -10,19 +10,16 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include "core/cli.hh"
 #include "fault/fault_plan_io.hh"
 #include "util/logging.hh"
 
 namespace gpsm::serve
 {
 
-using core::AllocOrder;
-using core::App;
 using core::ExperimentConfig;
-using core::FileSource;
-using core::NumaPlacement;
-using core::PressureNode;
 using core::SystemConfig;
+namespace cli = core::cli;
 
 namespace
 {
@@ -69,43 +66,17 @@ asString(const obs::Json &v, const char *key)
         fatal("serve config: '%s' must be a string", key);
     return v.asString();
 }
-/** @} */
 
-/**
- * Enum spellings reuse the repo's *Name() functions, and parsing
- * loops over every enumerator comparing names — the codec is the
- * exact inverse of the printer by construction.
- */
+/** An enum field, spelled as the enum's *Name() function prints it. */
 template <typename Enum, std::size_t N>
 Enum
-parseNamed(const std::string &text, const char *key,
-           const Enum (&all)[N], const char *(*name)(Enum))
+asNamed(const obs::Json &v, const char *key, const Enum (&all)[N],
+        const char *(*name)(Enum))
 {
-    for (const Enum e : all)
-        if (text == name(e))
-            return e;
-    fatal("serve config: unknown %s '%s'", key, text.c_str());
+    const std::string what = std::string("serve config: ") + key;
+    return cli::parseNamed(asString(v, key), what.c_str(), all, name);
 }
-
-constexpr App allApps[] = {App::Bfs, App::Sssp, App::Pr, App::Cc};
-constexpr graph::ReorderMethod allReorders[] = {
-    graph::ReorderMethod::None, graph::ReorderMethod::Dbg,
-    graph::ReorderMethod::SortByDegree, graph::ReorderMethod::HubSort,
-    graph::ReorderMethod::Random};
-constexpr vm::ThpMode allThpModes[] = {
-    vm::ThpMode::Never, vm::ThpMode::Madvise, vm::ThpMode::Always};
-constexpr AllocOrder allOrders[] = {AllocOrder::Natural,
-                                    AllocOrder::PropertyFirst};
-constexpr PressureNode allPressureNodes[] = {
-    PressureNode::Local, PressureNode::Remote, PressureNode::Both};
-constexpr FileSource allFileSources[] = {FileSource::TmpfsRemote,
-                                         FileSource::PageCacheLocal,
-                                         FileSource::DirectIo};
-constexpr NumaPlacement allPlacements[] = {
-    NumaPlacement::FirstTouch, NumaPlacement::Interleave,
-    NumaPlacement::PreferredLocal, NumaPlacement::RemoteOnly};
-constexpr mem::EvictionKind allEvictions[] = {
-    mem::EvictionKind::Clock, mem::EvictionKind::Lru};
+/** @} */
 
 SystemConfig
 presetByName(const std::string &name)
@@ -159,9 +130,9 @@ sysFromJson(const obs::Json &doc)
         } else if (key == "node1Bytes") {
             sys.enableSecondNode(asU64(value, "node1Bytes"));
         } else if (key == "numaPlacement") {
-            sys.numaPlacement = parseNamed(
-                asString(value, "numaPlacement"), "numaPlacement",
-                allPlacements, mem::numaPlacementName);
+            sys.numaPlacement = asNamed(value, "numaPlacement",
+                                        cli::allPlacements,
+                                        mem::numaPlacementName);
         } else if (key == "numaMigrateOnPromote") {
             sys.numaMigrateOnPromote =
                 asBool(value, "numaMigrateOnPromote");
@@ -273,8 +244,7 @@ configFromJson(const obs::Json &doc)
         if (key == "sys") {
             c.sys = sysFromJson(value);
         } else if (key == "app") {
-            c.app = parseNamed(asString(value, "app"), "app", allApps,
-                               core::appName);
+            c.app = asNamed(value, "app", cli::allApps, core::appName);
         } else if (key == "dataset") {
             c.dataset = asString(value, "dataset");
         } else if (key == "scaleDivisor") {
@@ -282,13 +252,11 @@ configFromJson(const obs::Json &doc)
         } else if (key == "seed") {
             c.seed = asU64(value, "seed");
         } else if (key == "reorder") {
-            c.reorder =
-                parseNamed(asString(value, "reorder"), "reorder",
-                           allReorders, graph::reorderMethodName);
+            c.reorder = asNamed(value, "reorder", cli::allReorders,
+                                graph::reorderMethodName);
         } else if (key == "thpMode") {
-            c.thpMode = parseNamed(asString(value, "thpMode"),
-                                   "thpMode", allThpModes,
-                                   vm::thpModeName);
+            c.thpMode = asNamed(value, "thpMode", cli::allThpModes,
+                                vm::thpModeName);
         } else if (key == "madvise") {
             if (!value.isObject())
                 fatal("serve config: 'madvise' must be an object");
@@ -307,8 +275,8 @@ configFromJson(const obs::Json &doc)
                           mk.c_str());
             }
         } else if (key == "order") {
-            c.order = parseNamed(asString(value, "order"), "order",
-                                 allOrders, core::allocOrderName);
+            c.order = asNamed(value, "order", cli::allOrders,
+                              core::allocOrderName);
         } else if (key == "khugepagedAfterInit") {
             c.khugepagedAfterInit = asBool(value, key.c_str());
         } else if (key == "khugepagedMinPresent") {
@@ -329,13 +297,12 @@ configFromJson(const obs::Json &doc)
             c.fragLevel = asF64(value, key.c_str());
         } else if (key == "pressureNode") {
             c.pressureNode =
-                parseNamed(asString(value, "pressureNode"),
-                           "pressureNode", allPressureNodes,
-                           core::pressureNodeName);
+                asNamed(value, "pressureNode", cli::allPressureNodes,
+                        core::pressureNodeName);
         } else if (key == "fileSource") {
-            c.fileSource =
-                parseNamed(asString(value, "fileSource"), "fileSource",
-                           allFileSources, core::fileSourceName);
+            c.fileSource = asNamed(value, "fileSource",
+                                   cli::allFileSources,
+                                   core::fileSourceName);
         } else if (key == "giantProperty") {
             c.giantProperty = asBool(value, key.c_str());
         } else if (key == "oocRatio") {
@@ -343,10 +310,9 @@ configFromJson(const obs::Json &doc)
             if (c.oocRatio < 0.0)
                 fatal("serve config: oocRatio must be non-negative");
         } else if (key == "oocEviction") {
-            c.oocEviction =
-                parseNamed(asString(value, "oocEviction"),
-                           "oocEviction", allEvictions,
-                           mem::evictionKindName);
+            c.oocEviction = asNamed(value, "oocEviction",
+                                    cli::allEvictions,
+                                    mem::evictionKindName);
         } else if (key == "hugeFaultRetries") {
             c.hugeFaultRetries =
                 static_cast<unsigned>(asU64(value, key.c_str()));

@@ -21,8 +21,7 @@ namespace gpsm
 
 /**
  * Parse @p text as a base-10 unsigned 64-bit integer. @p what names
- * the flag or environment variable for the error message ("--jobs",
- * "GPSM_BENCH_DIVISOR"). Leading/trailing whitespace, empty strings,
+ * the flag for the error message ("--jobs"). Leading/trailing whitespace, empty strings,
  * signs, partial parses and overflow are all fatal().
  */
 std::uint64_t parseU64(const std::string &text, const char *what);

@@ -81,6 +81,23 @@ TEST(OutOfCore, PagerankMatchesInCoreChecksum)
     EXPECT_EQ(ooc.kernelOutput, incore.kernelOutput);
 }
 
+TEST(OutOfCore, GiantPoolSitsBesideTheShrunkNode)
+{
+    // The auto-sized giant pool is pinned on top of the out-of-core
+    // node instead of crowding it ("giant pool exceeds node memory").
+    ExperimentConfig base = smallConfig(App::Bfs);
+    base.giantProperty = true;
+    const RunResult incore = runExperiment(base);
+
+    ExperimentConfig ooc_cfg = base;
+    ooc_cfg.oocRatio = 2.0;
+    const RunResult ooc = runExperiment(ooc_cfg);
+    EXPECT_GT(ooc.giantBackedBytes, 0u);
+    EXPECT_GT(ooc.fileReads, 0u);
+    EXPECT_EQ(ooc.checksum, incore.checksum);
+    EXPECT_EQ(ooc.kernelOutput, incore.kernelOutput);
+}
+
 TEST(OutOfCore, DeterministicAcrossRuns)
 {
     const ExperimentConfig cfg = oocConfig(App::Bfs, 2.0);

@@ -209,6 +209,28 @@ TEST(Serve, RunMatchesOfflineByteIdentical)
               serializeRunResult(offline));
 }
 
+TEST(Serve, OutOfCoreRunMatchesOfflineByteIdentical)
+{
+    // The wire codec's oocRatio/oocEviction path, end to end.
+    clearExperimentMemo();
+    TestServer ts(serveOptions("ooc"));
+    ASSERT_TRUE(ts.started);
+
+    ExperimentConfig cfg = smallConfig();
+    cfg.oocRatio = 2.0;
+    cfg.oocEviction = mem::EvictionKind::Lru;
+    const std::vector<SubmitOutcome> outcomes =
+        submitBatch(ts.server.options().socketPath, {cfg});
+    ASSERT_EQ(outcomes.size(), 1u);
+    ASSERT_TRUE(outcomes[0].ok) << outcomes[0].kind << ": "
+                                << outcomes[0].message;
+    EXPECT_EQ(outcomes[0].fingerprint, cfg.fingerprint());
+    const RunResult offline = runExperiment(cfg);
+    EXPECT_GT(offline.fileReads, 0u);
+    EXPECT_EQ(serializeRunResult(outcomes[0].result),
+              serializeRunResult(offline));
+}
+
 TEST(Serve, SingleFlightsDuplicateRequests)
 {
     clearExperimentMemo();

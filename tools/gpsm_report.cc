@@ -22,13 +22,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/report.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace
 {
@@ -70,6 +70,15 @@ int runSummary(const std::string &path)
     return 0;
 }
 
+/** A relative tolerance: a finite, non-negative number. */
+double parseTolerance(const std::string &text, const char *flag)
+{
+    const double tolerance = parseDouble(text, flag);
+    if (tolerance < 0.0)
+        fatal("%s must be non-negative, got '%s'", flag, text.c_str());
+    return tolerance;
+}
+
 int runDiff(const std::vector<std::string> &args)
 {
     if (args.size() < 2)
@@ -87,15 +96,15 @@ int runDiff(const std::vector<std::string> &args)
         const std::string &arg = args[i];
         if (arg == "--tolerance") {
             opts.relTolerance =
-                std::strtod(next("--tolerance").c_str(), nullptr);
+                parseTolerance(next("--tolerance"), "--tolerance");
         } else if (arg == "--tolerance-metric") {
             const std::string spec = next("--tolerance-metric");
             const std::size_t eq = spec.find('=');
             if (eq == std::string::npos || eq == 0)
                 fatal("--tolerance-metric wants NAME=F, got "
                             "'%s'", spec.c_str());
-            opts.tolerances[spec.substr(0, eq)] =
-                std::strtod(spec.c_str() + eq + 1, nullptr);
+            opts.tolerances[spec.substr(0, eq)] = parseTolerance(
+                spec.substr(eq + 1), "--tolerance-metric");
         } else if (arg == "--fail-on-missing") {
             opts.failOnMissing = true;
         } else {

@@ -13,20 +13,15 @@
 
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "core/advisor.hh"
+#include "core/cli.hh"
 #include "core/experiment.hh"
-#include "core/replay.hh"
 #include "core/runner.hh"
-#include "fault/fault_plan_io.hh"
 #include "graph/datasets.hh"
-#include "obs/profiler.hh"
-#include "obs/telemetry.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
 #include "util/table.hh"
@@ -110,34 +105,6 @@ usage()
         "  --quiet                        suppress progress notes\n";
 }
 
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::istringstream in(s);
-    std::string item;
-    while (std::getline(in, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    if (out.empty())
-        fatal("empty list '%s'", s.c_str());
-    return out;
-}
-
-App
-parseApp(const std::string &v)
-{
-    if (v == "bfs")
-        return App::Bfs;
-    if (v == "sssp")
-        return App::Sssp;
-    if (v == "pr")
-        return App::Pr;
-    if (v == "cc")
-        return App::Cc;
-    fatal("unknown app '%s'", v.c_str());
-}
-
 void
 printResult(const ExperimentConfig &cfg, const RunResult &r)
 {
@@ -192,158 +159,24 @@ printResult(const ExperimentConfig &cfg, const RunResult &r)
 int
 main(int argc, char **argv)
 try {
-    ExperimentConfig cfg;
-    cfg.scaleDivisor = 256;
+    cli::RunSpec spec;
+    cli::HarnessOptions harness;
     bool use_advisor = false;
     double advisor_coverage = 0.8;
-    unsigned jobs = 0; // 0 = hardware concurrency
-    std::string journal_path;
-    obs::TelemetryOptions telemetry;
-    ReplayOptions replay;
     PoolOptions pool_opts;
-    std::vector<App> apps = {App::Bfs};
-    std::vector<std::string> datasets = {"kron"};
-
-    if (const char *env = std::getenv("GPSM_PROF"))
-        obs::setProfiling(env[0] == '1');
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--app") {
-            apps.clear();
-            for (const std::string &v : splitCommas(next()))
-                apps.push_back(parseApp(v));
-        } else if (arg == "--dataset") {
-            datasets = splitCommas(next());
-        } else if (arg == "--jobs") {
-            jobs = parseUnsigned(next(), "--jobs");
-        } else if (arg == "--divisor") {
-            cfg.scaleDivisor = parseU64(next(), "--divisor");
-        } else if (arg == "--thp") {
-            const std::string v = next();
-            if (v == "never")
-                cfg.thpMode = vm::ThpMode::Never;
-            else if (v == "always")
-                cfg.thpMode = vm::ThpMode::Always;
-            else if (v == "madvise")
-                cfg.thpMode = vm::ThpMode::Madvise;
-            else
-                fatal("unknown THP mode '%s'", v.c_str());
-        } else if (arg == "--prop-fraction") {
-            cfg.madvise.propertyFraction =
-                parseDouble(next(), "--prop-fraction");
-        } else if (arg == "--madvise-vertex") {
-            cfg.madvise.vertex = true;
-        } else if (arg == "--madvise-edge") {
-            cfg.madvise.edge = true;
-        } else if (arg == "--madvise-values") {
-            cfg.madvise.values = true;
-        } else if (arg == "--order") {
-            const std::string v = next();
-            cfg.order = v == "prop-first" ? AllocOrder::PropertyFirst
-                                          : AllocOrder::Natural;
-        } else if (arg == "--reorder") {
-            const std::string v = next();
-            if (v == "none")
-                cfg.reorder = graph::ReorderMethod::None;
-            else if (v == "dbg")
-                cfg.reorder = graph::ReorderMethod::Dbg;
-            else if (v == "sort")
-                cfg.reorder = graph::ReorderMethod::SortByDegree;
-            else if (v == "hubsort")
-                cfg.reorder = graph::ReorderMethod::HubSort;
-            else if (v == "random")
-                cfg.reorder = graph::ReorderMethod::Random;
-            else
-                fatal("unknown reorder '%s'", v.c_str());
-        } else if (arg == "--advisor") {
+        if (cli::parseRunFlag(argc, argv, i, spec) ||
+            cli::parseHarnessFlag(argc, argv, i, harness))
+            continue;
+        if (arg == "--advisor") {
             use_advisor = true;
             if (i + 1 < argc && argv[i + 1][0] != '-')
-                advisor_coverage = parseDouble(next(), "--advisor");
-        } else if (arg == "--slack-mib") {
-            cfg.constrainMemory = true;
-            cfg.slackBytes =
-                parseI64(next(), "--slack-mib") * 1024 * 1024;
-        } else if (arg == "--fault-plan") {
-            cfg.faultPlan = fault::loadFaultPlan(next());
-        } else if (arg == "--frag") {
-            cfg.fragLevel = parseDouble(next(), "--frag");
-        } else if (arg == "--oo-ratio") {
-            cfg.oocRatio = parseDouble(next(), "--oo-ratio");
-            if (cfg.oocRatio < 0.0)
-                fatal("--oo-ratio must be non-negative");
-        } else if (arg == "--eviction") {
-            const std::string v = next();
-            if (v == "clock")
-                cfg.oocEviction = mem::EvictionKind::Clock;
-            else if (v == "lru")
-                cfg.oocEviction = mem::EvictionKind::Lru;
-            else
-                fatal("--eviction: unknown policy '%s' (clock|lru)",
-                      v.c_str());
-        } else if (arg == "--file-source") {
-            const std::string v = next();
-            if (v == "tmpfs")
-                cfg.fileSource = FileSource::TmpfsRemote;
-            else if (v == "cache")
-                cfg.fileSource = FileSource::PageCacheLocal;
-            else if (v == "directio")
-                cfg.fileSource = FileSource::DirectIo;
-            else
-                fatal("unknown file source '%s'", v.c_str());
-        } else if (arg == "--paper") {
-            cfg.sys = SystemConfig::haswell();
-        } else if (arg == "--seed") {
-            cfg.seed = parseU64(next(), "--seed");
-        } else if (arg == "--numa-node1-mib") {
-            cfg.sys.enableSecondNode(
-                parseU64(next(), "--numa-node1-mib") * 1024 * 1024);
-        } else if (arg == "--numa-placement") {
-            const std::string v = next();
-            if (v == "first-touch")
-                cfg.sys.numaPlacement = NumaPlacement::FirstTouch;
-            else if (v == "interleave")
-                cfg.sys.numaPlacement = NumaPlacement::Interleave;
-            else if (v == "preferred-local")
-                cfg.sys.numaPlacement = NumaPlacement::PreferredLocal;
-            else if (v == "remote-only")
-                cfg.sys.numaPlacement = NumaPlacement::RemoteOnly;
-            else
-                fatal("unknown NUMA placement '%s'", v.c_str());
-        } else if (arg == "--numa-migrate-on-promote") {
-            cfg.sys.numaMigrateOnPromote = true;
-        } else if (arg == "--pressure-node") {
-            const std::string v = next();
-            if (v == "local")
-                cfg.pressureNode = PressureNode::Local;
-            else if (v == "remote")
-                cfg.pressureNode = PressureNode::Remote;
-            else if (v == "both")
-                cfg.pressureNode = PressureNode::Both;
-            else
-                fatal("unknown pressure node '%s'", v.c_str());
-        } else if (arg == "--journal") {
-            journal_path = next();
-        } else if (arg == "--timeout-seconds") {
-            pool_opts.timeoutSeconds =
-                parseDouble(next(), "--timeout-seconds");
+                advisor_coverage = parseDouble(argv[++i], "--advisor");
         } else if (arg == "--timeout-retries") {
-            pool_opts.timeoutRetries =
-                parseUnsigned(next(), "--timeout-retries");
-        } else if (arg == "--metrics-dir") {
-            telemetry.metricsDir = next();
-        } else if (arg == "--sample-interval") {
-            telemetry.sampleInterval =
-                parseU64(next(), "--sample-interval");
-        } else if (arg == "--replay") {
-            replay.enabled = true;
-        } else if (arg == "--profile") {
-            obs::setProfiling(true);
+            pool_opts.timeoutRetries = parseUnsigned(
+                cli::flagValue(argc, argv, i), "--timeout-retries");
         } else if (arg == "--quiet") {
             setQuiet(true);
         } else if (arg == "--help" || arg == "-h") {
@@ -354,48 +187,29 @@ try {
         }
     }
 
-    // Expand the app x dataset cross product into a config set, in
-    // declared order, and execute the whole set through the pool.
-    std::vector<ExperimentConfig> configs;
-    for (App app : apps) {
-        for (const std::string &ds : datasets) {
-            ExperimentConfig c = cfg;
-            c.app = app;
-            c.dataset = ds;
-            if (use_advisor) {
-                const graph::CsrGraph g = graph::makeDataset(
-                    graph::datasetByName(c.dataset), c.scaleDivisor,
-                    c.app == App::Sssp, c.seed);
-                const PageSizeAdvice advice =
-                    advisePageSizes(g, c.sys, advisor_coverage);
-                std::cout << "advisor [" << c.dataset
-                          << "]: " << advice.describe() << '\n';
-                c.thpMode = vm::ThpMode::Madvise;
-                c.order = AllocOrder::PropertyFirst;
-                c.reorder = advice.useDbg
-                                ? graph::ReorderMethod::Dbg
-                                : graph::ReorderMethod::None;
-                c.madvise = MadviseSelection::propertyOnly(
-                    advice.propertyFraction);
-            }
-            configs.push_back(std::move(c));
+    // The app x dataset cross product, in declared order, executed as
+    // one set through the pool.
+    std::vector<ExperimentConfig> configs = spec.expand();
+    if (use_advisor) {
+        for (ExperimentConfig &c : configs) {
+            const graph::CsrGraph g = graph::makeDataset(
+                graph::datasetByName(c.dataset), c.scaleDivisor,
+                c.app == App::Sssp, c.seed);
+            const PageSizeAdvice advice =
+                advisePageSizes(g, c.sys, advisor_coverage);
+            std::cout << "advisor [" << c.dataset
+                      << "]: " << advice.describe() << '\n';
+            c.thpMode = vm::ThpMode::Madvise;
+            c.order = AllocOrder::PropertyFirst;
+            c.reorder = advice.useDbg ? graph::ReorderMethod::Dbg
+                                      : graph::ReorderMethod::None;
+            c.madvise =
+                MadviseSelection::propertyOnly(advice.propertyFraction);
         }
     }
 
-    // Install the telemetry request before the first experiment; with
-    // no --metrics-dir this is the documented off switch.
-    obs::setTelemetry(telemetry);
-    setReplay(replay);
-
-    if (!journal_path.empty()) {
-        std::string err;
-        if (!enableResultJournal(journal_path, &err))
-            warn("result journal disabled: %s", err.c_str());
-        else if (resultJournalStats().loaded > 0)
-            inform("journal: %llu results resumed",
-                   static_cast<unsigned long long>(
-                       resultJournalStats().loaded));
-    }
+    cli::installHarness(harness);
+    pool_opts.timeoutSeconds = harness.timeoutSeconds;
 
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));
@@ -404,8 +218,8 @@ try {
     sigaction(SIGTERM, &sa, nullptr);
     pool_opts.interrupt = &g_interrupted;
 
-    std::cout << cfg.sys.describe();
-    ExperimentPool pool(jobs);
+    std::cout << spec.base.sys.describe();
+    ExperimentPool pool(harness.jobs);
     const std::vector<RunOutcome> outcomes =
         pool.runOutcomes(configs, pool_opts);
 

@@ -35,13 +35,12 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "core/cli.hh"
 #include "core/journal.hh"
 #include "core/runner.hh"
-#include "fault/fault_plan_io.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "util/logging.hh"
@@ -84,10 +83,11 @@ usage()
         "client modes:\n"
         "  --submit                 submit a batch (config flags as in\n"
         "                           gpsm_run: --app --dataset --divisor\n"
-        "                           --thp --prop-fraction --order\n"
-        "                           --reorder --slack-mib --frag\n"
+        "                           --thp --prop-fraction --madvise-*\n"
+        "                           --order --reorder --slack-mib\n"
+        "                           --frag --oo-ratio --eviction\n"
         "                           --file-source --paper --seed\n"
-        "                           --fault-plan --numa-* \n"
+        "                           --fault-plan --numa-*\n"
         "                           --pressure-node)\n"
         "    --connections N        parallel connections (4)\n"
         "    --deadline X           per-request deadline, seconds\n"
@@ -110,34 +110,6 @@ usage()
         "                           stop any daemon on PATH first)\n"
         "\n"
         "  --quiet                  suppress progress notes\n";
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::istringstream in(s);
-    std::string item;
-    while (std::getline(in, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    if (out.empty())
-        fatal("empty list '%s'", s.c_str());
-    return out;
-}
-
-App
-parseApp(const std::string &v)
-{
-    if (v == "bfs")
-        return App::Bfs;
-    if (v == "sssp")
-        return App::Sssp;
-    if (v == "pr")
-        return App::Pr;
-    if (v == "cc")
-        return App::Cc;
-    fatal("unknown app '%s'", v.c_str());
 }
 
 void
@@ -224,10 +196,7 @@ try {
     bool prometheus = false;
     std::string compact_path;
 
-    ExperimentConfig cfg;
-    cfg.scaleDivisor = 256;
-    std::vector<App> apps = {App::Bfs};
-    std::vector<std::string> datasets = {"kron"};
+    cli::RunSpec spec;
     unsigned repeat = 1;
     unsigned shard = 1;
     unsigned shards = 1;
@@ -235,11 +204,9 @@ try {
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value after %s", arg.c_str());
-            return argv[++i];
-        };
+        auto next = [&] { return cli::flagValue(argc, argv, i); };
+        if (cli::parseRunFlag(argc, argv, i, spec))
+            continue;
         if (arg == "--submit") {
             mode = Mode::Submit;
         } else if (arg == "--stats") {
@@ -288,110 +255,9 @@ try {
         } else if (arg == "--repeat") {
             repeat = parseUnsigned(next(), "--repeat");
         } else if (arg == "--shard") {
-            const std::string v = next();
-            const std::size_t slash = v.find('/');
-            if (slash == std::string::npos)
-                fatal("--shard wants I/N, got '%s'", v.c_str());
-            shard = parseUnsigned(v.substr(0, slash), "--shard");
-            shards = parseUnsigned(v.substr(slash + 1), "--shard");
-            if (shard < 1 || shards < 1 || shard > shards)
-                fatal("--shard %u/%u out of range", shard, shards);
+            cli::parseShard(next(), shard, shards);
         } else if (arg == "--out-journal") {
             out_journal = next();
-        } else if (arg == "--app") {
-            apps.clear();
-            for (const std::string &v : splitCommas(next()))
-                apps.push_back(parseApp(v));
-        } else if (arg == "--dataset") {
-            datasets = splitCommas(next());
-        } else if (arg == "--divisor") {
-            cfg.scaleDivisor = parseU64(next(), "--divisor");
-        } else if (arg == "--thp") {
-            const std::string v = next();
-            if (v == "never")
-                cfg.thpMode = vm::ThpMode::Never;
-            else if (v == "always")
-                cfg.thpMode = vm::ThpMode::Always;
-            else if (v == "madvise")
-                cfg.thpMode = vm::ThpMode::Madvise;
-            else
-                fatal("unknown THP mode '%s'", v.c_str());
-        } else if (arg == "--prop-fraction") {
-            cfg.madvise.propertyFraction =
-                parseDouble(next(), "--prop-fraction");
-        } else if (arg == "--madvise-vertex") {
-            cfg.madvise.vertex = true;
-        } else if (arg == "--madvise-edge") {
-            cfg.madvise.edge = true;
-        } else if (arg == "--madvise-values") {
-            cfg.madvise.values = true;
-        } else if (arg == "--order") {
-            const std::string v = next();
-            cfg.order = v == "prop-first" ? AllocOrder::PropertyFirst
-                                          : AllocOrder::Natural;
-        } else if (arg == "--reorder") {
-            const std::string v = next();
-            if (v == "none")
-                cfg.reorder = graph::ReorderMethod::None;
-            else if (v == "dbg")
-                cfg.reorder = graph::ReorderMethod::Dbg;
-            else if (v == "sort")
-                cfg.reorder = graph::ReorderMethod::SortByDegree;
-            else if (v == "hubsort")
-                cfg.reorder = graph::ReorderMethod::HubSort;
-            else if (v == "random")
-                cfg.reorder = graph::ReorderMethod::Random;
-            else
-                fatal("unknown reorder '%s'", v.c_str());
-        } else if (arg == "--slack-mib") {
-            cfg.constrainMemory = true;
-            cfg.slackBytes =
-                parseI64(next(), "--slack-mib") * 1024 * 1024;
-        } else if (arg == "--fault-plan") {
-            cfg.faultPlan = fault::loadFaultPlan(next());
-        } else if (arg == "--frag") {
-            cfg.fragLevel = parseDouble(next(), "--frag");
-        } else if (arg == "--file-source") {
-            const std::string v = next();
-            if (v == "tmpfs")
-                cfg.fileSource = FileSource::TmpfsRemote;
-            else if (v == "cache")
-                cfg.fileSource = FileSource::PageCacheLocal;
-            else if (v == "directio")
-                cfg.fileSource = FileSource::DirectIo;
-            else
-                fatal("unknown file source '%s'", v.c_str());
-        } else if (arg == "--paper") {
-            cfg.sys = SystemConfig::haswell();
-        } else if (arg == "--seed") {
-            cfg.seed = parseU64(next(), "--seed");
-        } else if (arg == "--numa-node1-mib") {
-            cfg.sys.enableSecondNode(
-                parseU64(next(), "--numa-node1-mib") * 1024 * 1024);
-        } else if (arg == "--numa-placement") {
-            const std::string v = next();
-            if (v == "first-touch")
-                cfg.sys.numaPlacement = NumaPlacement::FirstTouch;
-            else if (v == "interleave")
-                cfg.sys.numaPlacement = NumaPlacement::Interleave;
-            else if (v == "preferred-local")
-                cfg.sys.numaPlacement = NumaPlacement::PreferredLocal;
-            else if (v == "remote-only")
-                cfg.sys.numaPlacement = NumaPlacement::RemoteOnly;
-            else
-                fatal("unknown NUMA placement '%s'", v.c_str());
-        } else if (arg == "--numa-migrate-on-promote") {
-            cfg.sys.numaMigrateOnPromote = true;
-        } else if (arg == "--pressure-node") {
-            const std::string v = next();
-            if (v == "local")
-                cfg.pressureNode = PressureNode::Local;
-            else if (v == "remote")
-                cfg.pressureNode = PressureNode::Remote;
-            else if (v == "both")
-                cfg.pressureNode = PressureNode::Both;
-            else
-                fatal("unknown pressure node '%s'", v.c_str());
         } else if (arg == "--quiet") {
             setQuiet(true);
         } else if (arg == "--help" || arg == "-h") {
@@ -459,14 +325,8 @@ try {
     // --submit: expand the cross product, shard, submit.
     std::vector<ExperimentConfig> configs;
     for (unsigned r = 0; r < repeat; ++r) {
-        for (App app : apps) {
-            for (const std::string &ds : datasets) {
-                ExperimentConfig c = cfg;
-                c.app = app;
-                c.dataset = ds;
-                configs.push_back(std::move(c));
-            }
-        }
+        const std::vector<ExperimentConfig> batch = spec.expand();
+        configs.insert(configs.end(), batch.begin(), batch.end());
     }
     if (shards > 1) {
         const std::vector<bool> mine =
