@@ -38,10 +38,13 @@ CacheModel::CacheModel(std::vector<CacheLevelConfig> levels,
         lvl.arr.assign(static_cast<size_t>(lvl.sets) * lvl.cfg.ways,
                        Line{});
     }
+    for (Line *&hint : hints)
+        hint = lvls[0].arr.data();
 }
 
 std::uint32_t
-CacheModel::access(Addr paddr, std::uint32_t miss_extra_cycles)
+CacheModel::probe(Addr addr, unsigned tag,
+                  std::uint32_t miss_extra_cycles)
 {
     ++accesses;
     // One pass per level: the probe scan also selects the LRU victim
@@ -55,7 +58,7 @@ CacheModel::access(Addr paddr, std::uint32_t miss_extra_cycles)
     size_t hit_level = n;
     for (size_t i = 0; i < n; ++i) {
         Level &lvl = lvls[i];
-        const std::uint64_t block = paddr >> lvl.lineShift;
+        const std::uint64_t block = addr >> lvl.lineShift;
         Line *set = lvl.set(block);
         Line *victim = set;
         bool hit = false;
@@ -64,6 +67,8 @@ CacheModel::access(Addr paddr, std::uint32_t miss_extra_cycles)
             if ((line.tag == block) & (line.stamp != 0)) {
                 line.stamp = ++stampCounter;
                 hit = true;
+                if (i == 0)
+                    hints[tag] = &line;
                 break;
             }
             // Min-stamp over every line doubles as invalid-first: an
@@ -83,9 +88,11 @@ CacheModel::access(Addr paddr, std::uint32_t miss_extra_cycles)
     }
 
     for (size_t i = 0; i < hit_level && i < n; ++i) {
-        victims[i]->tag = paddr >> lvls[i].lineShift;
+        victims[i]->tag = addr >> lvls[i].lineShift;
         victims[i]->stamp = ++stampCounter;
     }
+    if (hit_level != 0)
+        hints[tag] = victims[0];
 
     if (hit_level == n) {
         ++misses;
@@ -97,7 +104,7 @@ CacheModel::access(Addr paddr, std::uint32_t miss_extra_cycles)
 
 std::uint64_t
 CacheModel::accessRun(Addr start, std::size_t stride, std::uint64_t n,
-                      std::uint32_t miss_extra_cycles)
+                      unsigned tag, std::uint32_t miss_extra_cycles)
 {
     std::uint64_t cycles = 0;
     Level &l1 = lvls[0];
@@ -105,7 +112,7 @@ CacheModel::accessRun(Addr start, std::size_t stride, std::uint64_t n,
     std::uint64_t i = 0;
     while (i < n) {
         const Addr addr = start + i * stride;
-        cycles += access(addr, miss_extra_cycles);
+        cycles += access(addr, tag, miss_extra_cycles);
         std::uint64_t k = 1;
         if (stride < line_bytes) {
             const Addr line_end =
@@ -115,24 +122,14 @@ CacheModel::accessRun(Addr start, std::size_t stride, std::uint64_t n,
         }
         if (k > 1) {
             // The remaining k-1 elements share the line just probed,
-            // which access() left resident and most-recently-stamped
-            // in L1: each would hit L1 and restamp it. Account all of
-            // them at once.
-            const std::uint64_t block = addr >> l1.lineShift;
-            Line *set = l1.set(block);
-            Line *line = nullptr;
-            for (std::uint32_t w = 0; w < l1.cfg.ways; ++w) {
-                if (set[w].stamp != 0 && set[w].tag == block) {
-                    line = &set[w];
-                    break;
-                }
-            }
-            GPSM_ASSERT(line != nullptr);
+            // which access() left resident, most-recently-stamped and
+            // hinted in L1: each would hit L1 and restamp it. Account
+            // all of them at once.
             const std::uint64_t r = k - 1;
             accesses += r;
             l1.hits += r;
             stampCounter += r;
-            line->stamp = stampCounter;
+            hints[tag]->stamp = stampCounter;
             cycles += r * l1.cfg.hitCycles;
         }
         i += k;

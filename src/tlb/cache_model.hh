@@ -5,7 +5,8 @@
  * Captures the on-chip locality effects that accompany the paper's
  * reordering optimization (DBG improves both cache and TLB behaviour,
  * §5.2 "any other improvement ... is present in the baseline and with
- * our page management strategy"). Physically indexed; LRU per set.
+ * our page management strategy"). Indexed by whatever address the
+ * caller passes (tlb::Mmu passes the virtual address); LRU per set.
  */
 
 #ifndef GPSM_TLB_CACHE_MODEL_HH
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/units.hh"
 
@@ -46,14 +48,29 @@ class CacheModel
     CacheModel(std::vector<CacheLevelConfig> levels,
                std::uint32_t memory_cycles);
 
+    // The hints point into this model's L1 line array; a copy would
+    // aim them at the source's.
+    CacheModel(const CacheModel &) = delete;
+    CacheModel &operator=(const CacheModel &) = delete;
+
+    /** Number of access tags, one last-line hint each (Mmu's too). */
+    static constexpr unsigned numTags = 8;
+
     /**
-     * Probe with a physical address; @return latency in cycles.
+     * Probe with an address on behalf of access tag @p tag (one per
+     * simulated array); @return latency in cycles.
      * @p miss_extra_cycles is added only on a full miss — the hook
      * through which the remote-DRAM tier charges its interconnect
      * penalty (a hit at any level never pays it, since the line is
      * already on-chip).
+     *
+     * The tag only selects a last-line hint: the L1 line that served
+     * the tag's previous probe. If that line still holds this block it
+     * is an L1 hit, accounted here without a set scan; otherwise the
+     * out-of-line probe() runs. Counters, latency and LRU state are
+     * exactly those of the scan, whatever the tag.
      */
-    std::uint32_t access(Addr paddr,
+    std::uint32_t access(Addr addr, unsigned tag,
                          std::uint32_t miss_extra_cycles = 0);
 
     /**
@@ -65,10 +82,10 @@ class CacheModel
      * they are accounted in one step per line instead of one set scan
      * per element. @p miss_extra_cycles applies per full miss, i.e. to
      * leading line probes only (trailing same-line elements are L1
-     * hits by construction).
+     * hits by construction). @p tag is as for access().
      */
     std::uint64_t accessRun(Addr start, std::size_t stride,
-                            std::uint64_t n,
+                            std::uint64_t n, unsigned tag,
                             std::uint32_t miss_extra_cycles = 0);
 
     /** Drop all lines (used between experiment phases). */
@@ -116,13 +133,47 @@ class CacheModel
         }
     };
 
-    /** Upper bound on configured levels (victim scratch in access). */
+    /** Upper bound on configured levels (victim scratch in probe). */
     static constexpr size_t maxLevels = 8;
+
+    /**
+     * Out-of-line single-pass probe of every level: counts the access,
+     * fills the levels above the hit point, and points hints[tag] at
+     * the L1 line it hit or filled.
+     */
+    std::uint32_t probe(Addr addr, unsigned tag,
+                        std::uint32_t miss_extra_cycles);
 
     std::vector<Level> lvls;
     std::uint32_t memCycles;
     std::uint64_t stampCounter = 0;
+
+    /**
+     * Per-tag last L1 line. Any L1 line is a safe initial hint: a line
+     * matches only if it holds the probed block and is valid, and a
+     * valid line holding the block *is* its one L1 copy. So nothing
+     * needs to invalidate a hint — an eviction refills the way with
+     * another block, flushAll zeroes the stamp — and a matching hint
+     * is exactly the hit the set scan would find.
+     */
+    Line *hints[numTags] = {};
 };
+
+inline std::uint32_t
+CacheModel::access(Addr addr, unsigned tag,
+                   std::uint32_t miss_extra_cycles)
+{
+    GPSM_ASSERT(tag < numTags);
+    Level &l1 = lvls[0];
+    Line *hint = hints[tag];
+    if ((hint->tag == addr >> l1.lineShift) & (hint->stamp != 0)) {
+        ++accesses;
+        ++l1.hits;
+        hint->stamp = ++stampCounter;
+        return l1.cfg.hitCycles;
+    }
+    return probe(addr, tag, miss_extra_cycles);
+}
 
 } // namespace gpsm::tlb
 

@@ -229,7 +229,7 @@ Mmu::translateRunBody(Addr start, std::size_t count, std::size_t stride,
             remoteAccesses += n;
         if (cache)
             memoryCycles += cache->accessRun(
-                next, stride, n,
+                next, stride, n, tag,
                 remote ? costs.remoteMemoryCycles : 0);
         else if (remote)
             memoryCycles += n * costs.remoteMemoryCycles;

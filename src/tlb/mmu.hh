@@ -60,8 +60,11 @@ class SwapCostScaler
 class Mmu
 {
   public:
-    /** Number of distinguishable access tags (per-array attribution). */
-    static constexpr unsigned numTags = 8;
+    /**
+     * Number of distinguishable access tags (per-array attribution);
+     * the cache model keeps one last-line hint per tag.
+     */
+    static constexpr unsigned numTags = CacheModel::numTags;
 
     /**
      * @param space Address space faults are routed to.
@@ -433,7 +436,7 @@ Mmu::access(Addr vaddr, bool write, unsigned tag)
         // placement therefore charges only on full misses, when the
         // line actually crosses the interconnect.
         memoryCycles += cache->access(
-            vaddr, remote ? costs.remoteMemoryCycles : 0);
+            vaddr, tag, remote ? costs.remoteMemoryCycles : 0);
     } else if (remote) {
         // No cache model: every access is a DRAM access.
         memoryCycles += costs.remoteMemoryCycles;

@@ -38,8 +38,11 @@ formatSeconds(double seconds)
     // around the positive scale selection instead.
     if (seconds == 0.0)
         return "0.000s";
-    if (seconds < 0.0)
-        return "-" + formatSeconds(-seconds);
+    if (seconds < 0.0) {
+        std::string out = "-";
+        out += formatSeconds(-seconds);
+        return out;
+    }
     char buf[32];
     if (seconds >= 1.0)
         std::snprintf(buf, sizeof(buf), "%.3fs", seconds);

@@ -163,10 +163,12 @@ TEST(Compactor, GoldenCountersOnHandBuiltFragmentation)
     // (each costs one order-6 -> order-0 split chain: 6 splits), then
     // scatter two movable pages in region 5: frame 329 splits 6 times,
     // frame 364 lands in the order-5 remainder and splits 5 times.
-    for (std::uint64_t r = 0; r < 16; ++r)
-        if (r != 5)
+    for (std::uint64_t r = 0; r < 16; ++r) {
+        if (r != 5) {
             ASSERT_TRUE(b.allocateExact(r * 64 + 1, 0,
                                         Migratetype::Unmovable, t.id));
+        }
+    }
     t.place(320 + 9);
     t.place(320 + 44);
     EXPECT_EQ(b.allocCalls.value() - calls0, 17u);
@@ -208,10 +210,12 @@ TEST(Compactor, EvacuatesMultiplePagesAndCoalesces)
     Compactor compactor(node);
 
     // Poison all but region 2; scatter 10 movable pages there.
-    for (std::uint64_t r = 0; r < 16; ++r)
-        if (r != 2)
+    for (std::uint64_t r = 0; r < 16; ++r) {
+        if (r != 2) {
             ASSERT_TRUE(node.buddy().allocateExact(
                 r * 64 + 1, 0, Migratetype::Unmovable, t.id));
+        }
+    }
     for (FrameNum i = 0; i < 10; ++i)
         t.place(2 * 64 + i * 6);
 

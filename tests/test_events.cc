@@ -221,8 +221,9 @@ TEST(Events, RunEmitsOrderedProperlyNestedPhases)
         EXPECT_EQ(strField(ev, "schema"), obs::eventSchema);
         EXPECT_EQ(strField(ev, "run"), id);
         const std::uint64_t seq = seqOf(ev);
-        if (!first)
+        if (!first) {
             EXPECT_GT(seq, prev_seq);
+        }
         prev_seq = seq;
         first = false;
     }
@@ -410,8 +411,9 @@ TEST(Events, WireStreamDeliversRunAndRequestLifecycles)
     for (const obs::Json &ev : events) {
         EXPECT_EQ(strField(ev, "schema"), obs::eventSchema);
         const std::uint64_t seq = seqOf(ev);
-        if (!first)
+        if (!first) {
             EXPECT_GT(seq, prev_seq);
+        }
         prev_seq = seq;
         first = false;
     }

@@ -42,6 +42,15 @@ journalPath(const std::string &name)
     return path;
 }
 
+/** Run id "<prefix><i>", e.g. "a7". */
+std::string
+runId(const char *prefix, int i)
+{
+    std::string id = prefix;
+    id += std::to_string(i);
+    return id;
+}
+
 /** A RunResult with every field set to an awkward value: doubles that
  * don't round-trip through short decimal forms, extremes, zeros. */
 RunResult
@@ -314,12 +323,12 @@ TEST(Journal, TwoWritersInterleaveWithoutCorruption)
     constexpr int kEach = 200;
     std::thread ta([&]() {
         for (int i = 0; i < kEach; ++i)
-            EXPECT_TRUE(a.record("a" + std::to_string(i),
+            EXPECT_TRUE(a.record(runId("a", i),
                                  sampleResult(static_cast<std::uint64_t>(i))));
     });
     std::thread tb([&]() {
         for (int i = 0; i < kEach; ++i)
-            EXPECT_TRUE(b.record("b" + std::to_string(i),
+            EXPECT_TRUE(b.record(runId("b", i),
                                  sampleResult(1000u + i)));
     });
     ta.join();
@@ -330,7 +339,7 @@ TEST(Journal, TwoWritersInterleaveWithoutCorruption)
     EXPECT_EQ(check.corruptedLines(), 0u);
     expectIdentical(sampleResult(0), *check.lookup("a0"));
     expectIdentical(sampleResult(1000u + kEach - 1),
-                    *check.lookup("b" + std::to_string(kEach - 1)));
+                    *check.lookup(runId("b", kEach - 1)));
 }
 
 TEST(Journal, ConcurrentReloadSeesOnlyWholeRecords)

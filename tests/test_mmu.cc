@@ -27,17 +27,16 @@ struct World
 {
     explicit World(const ThpConfig &thp, bool with_cache = false,
                    std::uint64_t node_bytes = 16_MiB,
-                   unsigned huge_order = 6)
+                   unsigned huge_order = 6,
+                   std::vector<CacheLevelConfig> cache_levels = {
+                       CacheLevelConfig{"l1", 16_KiB, 8, 64, 4}})
         : node(params(node_bytes, huge_order)), swap(16_MiB, pageB),
           space(node, swap, thp),
           mmu(space, Tlb("dtlb", {TlbGeometry{16, 4}, TlbGeometry{8, 4}}),
               Tlb::makeUnified("stlb", 64, 8), CostModel{},
-              with_cache
-                  ? std::make_unique<CacheModel>(
-                        std::vector<CacheLevelConfig>{
-                            CacheLevelConfig{"l1", 16_KiB, 8, 64, 4}},
-                        200u)
-                  : nullptr)
+              with_cache ? std::make_unique<CacheModel>(
+                               std::move(cache_levels), 200u)
+                         : nullptr)
     {
     }
 
@@ -291,5 +290,81 @@ TEST(MmuAnalytic, SequentialScanOfFreshHugeRegions)
                 /*huge_order=*/9);
         expectAnalyticScan(w, /*pages=*/4, /*order=*/9, /*stride=*/64,
                            bulk);
+    }
+}
+
+// Analytic cache counts for sssp's edge loop: edgeTarget(e) and
+// weight(e) read two arrays under two tags, alternately element by
+// element. Here both arrays hold 4-byte elements and lie 128 KiB
+// apart, a multiple of every level's set span in the scaled hierarchy
+// (L1 16 KiB/8-way: 2 KiB; L2 128 KiB/8-way: 16 KiB; LLC 2 MiB/16-way:
+// 128 KiB), so line j of one array shares its set with line j of the
+// other at every level. Two passes over arrays of L lines each:
+// - pass 1: each line's first element misses every level (the data
+//   is cold); its other 15 elements hit L1, because the only probe
+//   between two elements of one line is the other array's element,
+//   whose line sits beside it in the same set;
+// - pass 2 revisits 2L lines cyclically. Per set at a level with S
+//   sets and W ways, 2*ceil(L/S) lines cycle; if that exceeds W, LRU
+//   has evicted each line before its reuse and the level misses every
+//   line, otherwise every line hits there.
+// With L = 256 (16 KiB arrays): 16 lines per L1 set cycle through 8
+// ways (miss), 2 per L2 set (hit). With L = 2048 (128 KiB arrays): 128
+// per L1 set and 16 per L2 set miss, 2 per LLC set hit.
+// So, with A = 2 passes * 2 arrays * 16 L accesses and 2L lines:
+// memory accesses = 2L, hits at the pass-2 level = 2L, L1 hits =
+// A - 4L, and memoryCycles = 2L * 200 + 2L * hitCycles(level) + L1
+// hits * 4.
+
+namespace
+{
+
+void
+expectAnalyticEdgeWeightStream(std::uint64_t array_bytes,
+                               size_t pass2_level)
+{
+    const std::vector<CacheLevelConfig> levels = {
+        CacheLevelConfig{"l1d", 16_KiB, 8, 64, 4},
+        CacheLevelConfig{"l2", 128_KiB, 8, 64, 12},
+        CacheLevelConfig{"llc", 2_MiB, 16, 64, 42}};
+    World w(ThpConfig::never(), /*with_cache=*/true, 16_MiB, 6, levels);
+    const Addr base = w.space.mmap(2 * 128_KiB, "edges+weights");
+    const Addr edges = base;
+    const Addr weights = base + 128_KiB;
+    const std::uint64_t n = array_bytes / 4;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::uint64_t e = 0; e < n; ++e) {
+            w.mmu.access(edges + 4 * e, /*write=*/false, /*tag=*/0);
+            w.mmu.access(weights + 4 * e, /*write=*/false, /*tag=*/1);
+        }
+    }
+
+    const std::uint64_t lines = array_bytes / 64;
+    const std::uint64_t accesses = 2 * 2 * n;
+    const std::uint64_t l1_hits = accesses - 4 * lines;
+    const CacheModel &cache = *w.mmu.cacheModel();
+    EXPECT_EQ(cache.accesses.value(), accesses);
+    EXPECT_EQ(cache.memoryAccesses(), 2 * lines);
+    EXPECT_EQ(cache.hitsAt(0), l1_hits);
+    for (size_t lvl = 1; lvl < levels.size(); ++lvl)
+        EXPECT_EQ(cache.hitsAt(lvl), lvl == pass2_level ? 2 * lines : 0)
+            << levels[lvl].name;
+    EXPECT_EQ(w.mmu.memoryCycles.value(),
+              2 * lines * 200 +
+                  2 * lines * levels[pass2_level].hitCycles +
+                  l1_hits * 4);
+}
+
+} // namespace
+
+TEST(MmuAnalytic, AlternatingEdgeWeightStreamsShareL1Sets)
+{
+    {
+        SCOPED_TRACE("16 KiB arrays: pass 2 hits L2");
+        expectAnalyticEdgeWeightStream(16_KiB, /*pass2_level=*/1);
+    }
+    {
+        SCOPED_TRACE("128 KiB arrays: pass 2 hits the LLC");
+        expectAnalyticEdgeWeightStream(128_KiB, /*pass2_level=*/2);
     }
 }

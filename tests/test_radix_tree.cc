@@ -163,8 +163,9 @@ TEST(RadixTree, RandomizedAgainstStdMap)
     std::size_t walked = 0;
     std::uint64_t prev = 0;
     t.forEach([&](std::uint64_t idx, const std::uint64_t &v) {
-        if (walked != 0)
+        if (walked != 0) {
             EXPECT_GT(idx, prev);
+        }
         prev = idx;
         ++walked;
         EXPECT_EQ(ref.at(idx), v);

@@ -64,8 +64,9 @@ TEST(Reorder, DbgBinsRespectThresholds)
     for (NodeId v = 0; v < g.numNodes(); ++v) {
         const unsigned b = bins[v];
         EXPECT_GE(static_cast<double>(indeg[v]), thr[b] * d);
-        if (b > 0)
+        if (b > 0) {
             EXPECT_LT(static_cast<double>(indeg[v]), thr[b - 1] * d);
+        }
     }
 }
 
@@ -147,8 +148,9 @@ TEST(Reorder, DbgIsStableWithinBins)
     std::map<unsigned, NodeId> last_new_id;
     for (NodeId old_id = 0; old_id < g.numNodes(); ++old_id) {
         auto it = last_new_id.find(bins[old_id]);
-        if (it != last_new_id.end())
+        if (it != last_new_id.end()) {
             EXPECT_GT(mapping[old_id], it->second);
+        }
         last_new_id[bins[old_id]] = mapping[old_id];
     }
 }

@@ -235,7 +235,7 @@ TEST(Report, ShardSelectionPartitionsBatches)
 {
     std::vector<ExperimentConfig> configs;
     for (App app : {App::Bfs, App::Pr, App::Sssp})
-        for (const std::string &ds : {"kron", "wiki"})
+        for (const char *ds : {"kron", "wiki"})
             configs.push_back(smallConfig(app, ds));
     // Duplicates must land on their first occurrence's shard.
     configs.push_back(configs[0]);
@@ -267,7 +267,7 @@ TEST(Report, ShardSelectionPartitionsBatches)
 TEST(Report, PrefetchDatasetsWarmsWithoutChangingResults)
 {
     std::vector<ExperimentConfig> configs;
-    for (const std::string &ds : {"kron", "wiki"})
+    for (const char *ds : {"kron", "wiki"})
         configs.push_back(smallConfig(App::Bfs, ds));
     configs.push_back(configs[0]); // duplicate: one dataset, not two
 

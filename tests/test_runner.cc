@@ -73,7 +73,7 @@ TEST(Runner, ParallelMatchesSerialBitIdentical)
     // submission order.
     std::vector<ExperimentConfig> configs;
     for (App app : {App::Bfs, App::Pr}) {
-        for (const std::string &ds : {"kron", "wiki"}) {
+        for (const char *ds : {"kron", "wiki"}) {
             ExperimentConfig cfg = smallConfig(app, ds);
             cfg.thpMode = app == App::Bfs ? vm::ThpMode::Never
                                           : vm::ThpMode::Always;

@@ -265,7 +265,7 @@ TEST(Telemetry, MetricsDirIdenticalAtAnyJobsLevel)
     // no per-run file carries wall time).
     std::vector<ExperimentConfig> configs;
     for (App app : {App::Bfs, App::Pr})
-        for (const std::string &ds : {"kron", "wiki"})
+        for (const char *ds : {"kron", "wiki"})
             configs.push_back(smallConfig(app, ds));
 
     const std::string dir1 = freshDir("gpsm_test_jobs1");
@@ -420,7 +420,7 @@ TEST(Profiler, ScopesChargePhasesAndFoldIntoTotals)
         // Enough work for a monotonic-clock delta even at coarse tick.
         volatile std::uint64_t sink = 0;
         for (int i = 0; i < 2000000; ++i)
-            sink += i;
+            sink = sink + i;
     }
     const obs::PhaseBreakdown run = obs::profEndRun();
     EXPECT_GT(run.seconds[static_cast<std::size_t>(
@@ -447,7 +447,7 @@ TEST(Profiler, OffProfilerScopesAreInertAndFoldNothing)
         obs::ProfScope scope(obs::ProfPhase::Kernel);
         volatile int sink = 0;
         for (int i = 0; i < 100000; ++i)
-            sink += i;
+            sink = sink + i;
     }
     const obs::PhaseBreakdown run = obs::profEndRun();
     EXPECT_EQ(run.total(), 0.0);
