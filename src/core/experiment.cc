@@ -201,13 +201,6 @@ struct MmuSnap
     }
 };
 
-/** Kernel dispatch result. */
-struct KernelOutcome
-{
-    std::uint64_t output = 0;
-    std::uint64_t checksum = 0;
-};
-
 /**
  * Tiny dataset cache: figure benches sweep many policies over the same
  * graph, and regeneration dominates wall-clock otherwise. Keyed by
@@ -269,63 +262,82 @@ cachedDataset(const std::string &name, std::uint64_t divisor,
     return future.get();
 }
 
-} // anonymous namespace
-
-std::uint64_t
-workingSetBytes(const ExperimentConfig &cfg)
+/** Throws CancelledError once the run's @p cancel flag is set. */
+void
+checkCancel(const std::atomic<bool> *cancel, const char *where)
 {
-    const auto g = cachedDataset(cfg.dataset, cfg.scaleDivisor,
-                                 cfg.app == App::Sssp, cfg.seed);
-    return wssOf(*g, cfg.app);
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
+        throw CancelledError(std::string("experiment cancelled ") + where);
 }
 
-RunResult
-runExperiment(const ExperimentConfig &cfg,
-              const std::atomic<bool> *cancel)
+/**
+ * The observers a run asked for: telemetry (trace sink and sampler)
+ * and the live event stream (publisher). Declared before the machine
+ * they watch, so the machine, and with it every hook into them, is
+ * gone first, on a normal return and on a cancel's unwind alike.
+ */
+struct RunObservers
 {
-    RunResult res;
+    std::optional<obs::TraceSink> trace;
+    std::optional<obs::TimeSeriesSampler> sampler;
+    std::optional<obs::RunEventPublisher> live;
 
-    const auto check_cancel = [cancel](const char *where) {
-        if (cancel != nullptr &&
-            cancel->load(std::memory_order_relaxed)) {
-            throw CancelledError(std::string("experiment cancelled ") +
-                                 where);
-        }
-    };
-    check_cancel("before dataset generation");
+    void attach(const ExperimentConfig &cfg, SimMachine &machine);
+};
 
-    // Host-side phase timing (opt-in, see obs/profiler.hh): scopes are
-    // no-ops while profiling is off, and the breakdown only ever lands
-    // in profiler-specific outputs, so a dormant profiler leaves every
-    // byte of the run unchanged.
-    obs::profBeginRun();
-    obs::ProfScope prof_build(obs::ProfPhase::Build);
-
-    // 1. Build the dataset (this models reading the input files; the
-    //    graph itself lives host-side until loaded into the view).
-    const auto base_graph_ptr = cachedDataset(
-        cfg.dataset, cfg.scaleDivisor, cfg.app == App::Sssp, cfg.seed);
-    const graph::CsrGraph &base_graph = *base_graph_ptr;
-    check_cancel("before preprocessing");
-
-    // 2. Preprocess (DBG etc.) — performed separately so it does not
-    //    disturb huge-page availability (§5.1.2), with its runtime
-    //    charged to the configuration.
-    graph::CsrGraph reordered;
-    const graph::CsrGraph *gp = &base_graph;
-    if (cfg.reorder != graph::ReorderMethod::None) {
-        res.preprocessSeconds =
-            preprocessSeconds(base_graph, cfg.reorder, cfg.sys.costs);
-        const auto mapping =
-            graph::reorderMapping(base_graph, cfg.reorder, cfg.seed);
-        reordered = graph::applyMapping(base_graph, mapping);
-        gp = &reordered;
+/**
+ * One assembled machine and what acts on it for the whole run: the
+ * fault session and the memhog/frag tools of each pressured node.
+ * Members tear down in reverse, so tools and session let go of their
+ * frames before the machine goes.
+ */
+struct Rig
+{
+    Rig(const SystemConfig &sys, const vm::ThpConfig &thp)
+        : machine(sys, thp)
+    {
     }
-    const graph::CsrGraph &g = *gp;
-    prof_build.stop();
-    obs::ProfScope prof_load(obs::ProfPhase::Load);
 
-    // 3. Assemble the machine with the requested THP policy.
+    SimMachine machine;
+    std::optional<fault::FaultSession> faults;
+    /** Per node: [0] local, [1] remote (only when pressured). */
+    std::optional<mem::Memhog> memhog[2];
+    std::optional<mem::Fragmenter> fragmenter[2];
+};
+
+/** MMU counters where the init and kernel phases begin. */
+struct PhaseSnaps
+{
+    MmuSnap init{};
+    MmuSnap kernel{};
+};
+
+/**
+ * Build: the dataset (this models reading the input files; the graph
+ * lives host-side until loaded into the view), then the preprocessing
+ * (DBG etc.), performed separately so it does not disturb huge-page
+ * availability (§5.1.2), with its runtime charged to the run.
+ */
+std::shared_ptr<const graph::CsrGraph>
+buildStage(const ExperimentConfig &cfg, const std::atomic<bool> *cancel,
+           RunResult &res)
+{
+    obs::ProfScope prof(obs::ProfPhase::Build);
+    auto g = cachedDataset(cfg.dataset, cfg.scaleDivisor,
+                           cfg.app == App::Sssp, cfg.seed);
+    checkCancel(cancel, "before preprocessing");
+    if (cfg.reorder == graph::ReorderMethod::None)
+        return g;
+    res.preprocessSeconds =
+        preprocessSeconds(*g, cfg.reorder, cfg.sys.costs);
+    return std::make_shared<const graph::CsrGraph>(graph::applyMapping(
+        *g, graph::reorderMapping(*g, cfg.reorder, cfg.seed)));
+}
+
+/** The run's THP policy and khugepaged tuning. */
+vm::ThpConfig
+thpConfigOf(const ExperimentConfig &cfg)
+{
     vm::ThpConfig thp;
     switch (cfg.thpMode) {
       case vm::ThpMode::Never:
@@ -344,7 +356,14 @@ runExperiment(const ExperimentConfig &cfg,
     thp.khugepagedScanPages = cfg.khugepagedScanPages;
     thp.khugepagedHotFirst = cfg.khugepagedHotFirst;
     thp.hugeFaultRetries = cfg.hugeFaultRetries;
+    return thp;
+}
 
+/** The run's system: cfg.sys with the giant pool sized and, out of
+ *  core, the node shrunk. */
+SystemConfig
+systemConfigOf(const ExperimentConfig &cfg, const graph::CsrGraph &g)
+{
     SystemConfig sys = cfg.sys;
     if (cfg.giantProperty && sys.node.giantPoolPages == 0) {
         // Auto-size the boot-time reservation to cover the property
@@ -385,46 +404,64 @@ runExperiment(const ExperimentConfig &cfg,
         sys.node.hugeWatermarkBytes =
             std::min(sys.node.hugeWatermarkBytes, bytes / 8);
     }
+    return sys;
+}
 
-    SimMachine machine(sys, thp);
+/**
+ * Assemble: the machine under the run's THP policy and system, and
+ * the fault session (when a plan is declared), which takes the
+ * machine's trace fan-out and installs its node, swap and MMU hooks
+ * for the machine's lifetime.
+ */
+std::unique_ptr<Rig>
+assembleStage(const ExperimentConfig &cfg, const graph::CsrGraph &g,
+              const std::atomic<bool> *cancel)
+{
+    obs::ProfScope prof(obs::ProfPhase::Load);
+    const vm::ThpConfig thp = thpConfigOf(cfg);
+    auto rig = std::make_unique<Rig>(systemConfigOf(cfg, g), thp);
+    SimMachine &machine = rig->machine;
     if (cfg.khugepagedDuringKernel && thp.khugepagedEnabled)
         machine.enableKhugepagedDuringExecution(
             cfg.khugepagedIntervalAccesses);
     machine.mmu().setCancelFlag(cancel);
-
-    // The fault session (when a plan is declared) installs the node,
-    // swap and MMU hooks for this machine's lifetime. Declared after
-    // the machine so it uninstalls and releases its hogs first.
-    std::optional<fault::FaultSession> faults;
     if (!cfg.faultPlan.empty()) {
-        faults.emplace(cfg.faultPlan, cfg.seed, machine.node(),
-                       machine.swapDevice(), machine.mmu());
+        rig->faults.emplace(cfg.faultPlan, cfg.seed, machine.node(),
+                            machine.swapDevice(), machine.mmu(),
+                            &machine.trace());
     }
+    return rig;
+}
 
-    // 4. Age the machine: memhog pins memory down to WSS + slack, then
-    //    the frag tool poisons the remaining free memory (§4.3-4.4).
-    //    On a two-node machine pressureNode picks the target node(s);
-    //    the Local default touches only node 0, exactly as before.
+/**
+ * Age: memhog pins memory down to WSS + slack, then the frag tool
+ * poisons the remaining free memory (§4.3-4.4). On a two-node machine
+ * pressureNode picks the target node(s); the Local default touches
+ * only node 0, whose tools exist on every run.
+ */
+void
+ageStage(const ExperimentConfig &cfg, const graph::CsrGraph &g, Rig &rig)
+{
+    obs::ProfScope prof(obs::ProfPhase::Load);
     if (cfg.pressureNode != PressureNode::Local &&
         !cfg.sys.numaEnabled()) {
         fatal("pressureNode '%s' requires a two-node machine "
               "(sys.node1.bytes != 0)",
               pressureNodeName(cfg.pressureNode));
     }
-    const bool pressure_local = cfg.pressureNode != PressureNode::Remote;
-    const bool pressure_remote = cfg.pressureNode != PressureNode::Local;
-    mem::Memhog memhog(machine.node());
-    mem::Fragmenter fragmenter(machine.node());
-    std::optional<mem::Memhog> memhog1;
-    std::optional<mem::Fragmenter> fragmenter1;
-    if (pressure_remote) {
-        memhog1.emplace(*machine.remoteNode());
-        fragmenter1.emplace(*machine.remoteNode());
+    // Registration order (as node clients) is machine state.
+    rig.memhog[0].emplace(rig.machine.node());
+    rig.fragmenter[0].emplace(rig.machine.node());
+    if (cfg.pressureNode != PressureNode::Local) {
+        rig.memhog[1].emplace(*rig.machine.remoteNode());
+        rig.fragmenter[1].emplace(*rig.machine.remoteNode());
     }
-    const std::uint64_t wss = wssOf(g, cfg.app);
+    const bool pressured[2] = {cfg.pressureNode != PressureNode::Remote,
+                               cfg.pressureNode != PressureNode::Local};
     if (cfg.constrainMemory) {
         const std::int64_t target =
-            static_cast<std::int64_t>(wss) + cfg.slackBytes;
+            static_cast<std::int64_t>(wssOf(g, cfg.app)) +
+            cfg.slackBytes;
         // Oversubscribing beyond the entire working set would leave
         // demand paging with neither a free frame nor a resident
         // victim to swap (the hog's pages are pinned), so the first
@@ -435,299 +472,212 @@ runExperiment(const ExperimentConfig &cfg,
             static_cast<std::int64_t>(cfg.sys.hugePageBytes());
         const std::uint64_t leave =
             static_cast<std::uint64_t>(std::max(target, floor));
-        if (pressure_local)
-            memhog.occupyAllBut(leave);
-        if (pressure_remote)
-            memhog1->occupyAllBut(leave);
+        for (int n = 0; n < 2; ++n)
+            if (pressured[n])
+                rig.memhog[n]->occupyAllBut(leave);
     }
     if (cfg.fragLevel > 0.0) {
-        if (pressure_local)
-            fragmenter.fragment(cfg.fragLevel);
-        if (pressure_remote)
-            fragmenter1->fragment(cfg.fragLevel);
+        for (int n = 0; n < 2; ++n)
+            if (pressured[n])
+                rig.fragmenter[n]->fragment(cfg.fragLevel);
     }
+}
 
-    // 5/6. Load and execute, separating init- and kernel-phase costs.
-    tlb::Mmu &mmu = machine.mmu();
-
-    // Telemetry session (opt-in): a trace sink plus, when sampling is
-    // requested, a StatSet sampler clocked on the MMU access counter.
-    // Hooks are installed only here and released on every exit path
-    // (the guard covers cancellation unwind), so a run without
-    // telemetry stays bit-identical to a build without this layer.
-    //
-    // The live event stream rides the same hook plumbing: when a
-    // subscriber is attached (gpsm_serve "subscribe"), a
-    // RunEventPublisher — alone or tee'd with the TraceSink — turns
-    // the identical trace events into gpsm-event-v1 records. Whether
-    // anyone listens is sampled once at run start so the event set a
-    // subscriber sees for one run is all-or-nothing.
-    std::optional<obs::TraceSink> trace;
-    std::optional<obs::TimeSeriesSampler> sampler;
-    std::optional<obs::RunEventPublisher> live;
-    std::optional<obs::TeeTraceHook> tee;
-    struct HookGuard
-    {
-        SimMachine *machine = nullptr;
-        fault::FaultSession *session = nullptr;
-
-        void
-        release()
-        {
-            if (machine == nullptr)
-                return;
-            machine->space().setTraceHook(nullptr);
-            machine->node().setTraceHook(nullptr);
-            machine->mmu().setSampleHook(0, nullptr);
-            if (session != nullptr)
-                session->setTraceHook(nullptr);
-            machine = nullptr;
-            session = nullptr;
-        }
-
-        ~HookGuard() { release(); }
-    } hooks;
+void
+RunObservers::attach(const ExperimentConfig &cfg, SimMachine &machine)
+{
+    // Whether anyone listens is sampled once, here, so the event set
+    // a subscriber sees for one run is all-or-nothing.
     const bool telem = obs::telemetryEnabled();
     const bool streaming = obs::eventStreamActive();
-    obs::TraceHook *hook = nullptr;
-    if (telem || streaming) {
-        if (telem)
-            trace.emplace(mmu.accesses);
-        if (streaming)
-            live.emplace(obs::runId(cfg.fingerprint()), cfg.label(),
-                         mmu.accesses);
-        if (trace && live) {
-            tee.emplace(&*trace, &*live);
-            hook = &*tee;
-        } else {
-            hook = trace ? static_cast<obs::TraceHook *>(&*trace)
-                         : static_cast<obs::TraceHook *>(&*live);
-        }
-        machine.space().setTraceHook(hook);
-        machine.node().setTraceHook(hook);
-        if (faults)
-            faults->setTraceHook(hook);
-        hooks.machine = &machine;
-        hooks.session = faults ? &*faults : nullptr;
-
-        // A stream-only session samples at the default interval so
-        // subscribers get epoch events without a metrics request.
-        const std::uint64_t interval =
-            telem ? obs::telemetry().sampleInterval
-                  : obs::TelemetryOptions{}.sampleInterval;
-        if (interval != 0) {
-            sampler.emplace(machine.stats(), mmu.accesses, interval);
-            // Gauges: huge-backed bytes of every live array, so the
-            // series shows *which* array gained coverage when
-            // khugepaged or the fault path promoted regions.
-            sampler->setGaugeProvider([&machine]() {
-                std::vector<std::pair<std::string, std::uint64_t>> g;
-                const vm::AddressSpace &space = machine.space();
-                for (const vm::Vma *vma : space.vmas()) {
-                    g.emplace_back("hugeBytes." + vma->name,
-                                   vma->hugePages *
-                                       space.hugePageBytes());
-                }
-                return g;
-            });
-            mmu.setSampleHook(interval, [&sampler, &live] {
-                const auto *epoch = sampler->tick();
-                if (epoch != nullptr && live)
-                    live->publishEpoch(*epoch);
-            });
-        }
-        if (live)
-            live->publishRunBegin(cfg.fingerprint());
+    if (!telem && !streaming)
+        return;
+    tlb::Mmu &mmu = machine.mmu();
+    if (telem) {
+        trace.emplace(mmu.accesses);
+        machine.trace().attach(*trace);
+    }
+    if (streaming) {
+        live.emplace(obs::runId(cfg.fingerprint()), cfg.label(),
+                     mmu.accesses);
+        machine.trace().attach(*live);
     }
 
-    const MmuSnap before_init = MmuSnap::take(mmu);
-    if (hook != nullptr)
-        hook->traceEvent(obs::TraceKind::PhaseBegin, 0, "init");
-
-    KernelOutcome outcome;
-    MmuSnap before_kernel{};
-    auto run = [&](auto prop_tag) {
-        using PropT = decltype(prop_tag);
-        typename SimView<PropT>::Options vopts;
-        vopts.order = cfg.order;
-        vopts.needValues = cfg.app == App::Sssp;
-        vopts.needAux = cfg.app == App::Pr;
-        vopts.fileSource = cfg.fileSource;
-        vopts.giantProperty = cfg.giantProperty;
-
-        SimView<PropT> view(machine, g, vopts);
-
-        if (cfg.thpMode == vm::ThpMode::Madvise) {
-            if (cfg.madvise.vertex)
-                view.adviseVertexArray();
-            if (cfg.madvise.edge)
-                view.adviseEdgeArray();
-            if (cfg.madvise.values && cfg.app == App::Sssp)
-                view.adviseValuesArray();
-            if (cfg.madvise.propertyFraction > 0.0)
-                view.advisePropertyFraction(
-                    cfg.madvise.propertyFraction);
-        }
-
-        PropT init_value{};
-        if constexpr (std::is_same_v<PropT, std::uint64_t>) {
-            init_value = (cfg.app == App::Cc) ? 0 : unreachedDist;
-        } else {
-            init_value = static_cast<PropT>(1.0 / g.numNodes());
-        }
-        view.load(init_value);
-        check_cancel("after load");
-
-        if (cfg.khugepagedAfterInit)
-            machine.runKhugepaged();
-
-        // Record huge-page usage at steady state (post-init).
-        res.footprintBytes = machine.space().footprintBytes();
-        res.hugeBackedBytes = machine.space().hugeBackedBytes();
-        res.giantBackedBytes = machine.space().giantBackedBytes();
-
-        // Kernel-anchored fault events (transient pressure departing,
-        // failure windows closing) resolve here, just before the
-        // kernel's first access.
-        if (faults)
-            faults->enterKernelPhase();
-
-        if (hook != nullptr) {
-            hook->traceEvent(obs::TraceKind::PhaseEnd, 0, "init");
-            hook->traceEvent(obs::TraceKind::PhaseBegin, 0, "kernel");
-        }
-        prof_load.stop();
-        before_kernel = MmuSnap::take(mmu);
-
-        // Trace record-and-replay (opt-in): when a prior run with the
-        // same stream fingerprint published its kernel access stream,
-        // feed that stream back through this machine's MMU instead of
-        // re-executing the kernel — every counter evolves identically
-        // because faults, promotions and hooks are all driven by the
-        // stream through the same entry points. Otherwise run live,
-        // recording if this run won the single-recorder claim.
-        std::shared_ptr<const RecordedTrace> replayed;
-        std::string stream_key;
-        bool claimed = false;
-        if (replayOptions().enabled) {
-            stream_key = streamFingerprint(cfg);
-            replayed = replayLookup(stream_key);
-            if (!replayed) {
-                claimed = replayClaimRecording(stream_key);
-                if (!claimed)
-                    noteReplayFallback();
+    // A stream-only session samples at the default interval so
+    // subscribers get epoch events without a metrics request.
+    const std::uint64_t interval =
+        telem ? obs::telemetry().sampleInterval
+              : obs::TelemetryOptions{}.sampleInterval;
+    if (interval != 0) {
+        sampler.emplace(machine.stats(), mmu.accesses, interval);
+        // Gauges: huge-backed bytes of every live array, so the
+        // series shows *which* array gained coverage when khugepaged
+        // or the fault path promoted regions.
+        sampler->setGaugeProvider([&machine]() {
+            std::vector<std::pair<std::string, std::uint64_t>> g;
+            const vm::AddressSpace &space = machine.space();
+            for (const vm::Vma *vma : space.vmas()) {
+                g.emplace_back("hugeBytes." + vma->name,
+                               vma->hugePages * space.hugePageBytes());
             }
-        }
+            return g;
+        });
+        mmu.setSampleHook(interval, [this] {
+            const auto *epoch = sampler->tick();
+            if (epoch != nullptr && live)
+                live->publishEpoch(*epoch);
+        });
+    }
+    if (live)
+        live->publishRunBegin(cfg.fingerprint());
+}
 
-        if (replayed) {
-            // Decode-once fast path: the first replay of a stream
-            // compiles the varint trace to fixed-width records; every
-            // later replay dispatches the compiled form directly. A
-            // stream the byte budget pins stays on the streaming
-            // decoder — identical counters either way.
-            std::shared_ptr<const CompiledTrace> compiled;
-            {
-                obs::ProfScope prof_decode(
-                    obs::ProfPhase::ReplayDecode);
-                compiled = compiledLookup(stream_key, *replayed);
-            }
-            {
-                obs::ProfScope prof_dispatch(
-                    obs::ProfPhase::ReplayDispatch);
-                if (compiled)
-                    replayCompiled(*compiled, mmu);
-                else
-                    replayTrace(*replayed, mmu);
-            }
-            // The kernel's host-side outputs cannot be recomputed
-            // without running it; they ride in the trace.
-            outcome.output = replayed->kernelOutput;
-            outcome.checksum = replayed->checksum;
-        } else {
-            std::unique_ptr<TraceRecorder> recorder;
-            if (claimed) {
-                recorder = std::make_unique<TraceRecorder>(
-                    replayOptions().maxTraceBytes);
-                mmu.setAccessRecorder(recorder.get());
-            }
-            try {
-                obs::ProfScope prof_kernel(obs::ProfPhase::Kernel);
-                if constexpr (std::is_same_v<PropT, std::uint64_t>) {
-                    const graph::NodeId root = defaultRoot(g);
-                    if (cfg.app == App::Bfs)
-                        outcome.output = bfs(view, root);
-                    else if (cfg.app == App::Sssp)
-                        outcome.output =
-                            sssp(view, root, cfg.ssspDelta);
-                    else
-                        outcome.output =
-                            labelPropagation(view, cfg.ccMaxIters);
-                } else {
-                    outcome.output =
-                        pagerank(view, cfg.prMaxIters, cfg.prDamping,
-                                 cfg.prEpsilon)
-                            .iterations;
-                }
-            } catch (...) {
-                if (claimed) {
-                    mmu.setAccessRecorder(nullptr);
-                    replayAbandon(stream_key, /*pin_live=*/false);
-                }
-                throw;
-            }
-            obs::ProfScope prof_verify(obs::ProfPhase::Verify);
-            outcome.checksum = propChecksum(view.propRaw());
-            prof_verify.stop();
-            if (claimed) {
-                mmu.setAccessRecorder(nullptr);
-                if (recorder->overflowed()) {
-                    replayAbandon(stream_key, /*pin_live=*/true);
-                } else {
-                    replayPublish(
-                        stream_key,
-                        std::make_shared<RecordedTrace>(recorder->take(
-                            outcome.output, outcome.checksum)));
-                }
-            }
-        }
-        if (hook != nullptr)
-            hook->traceEvent(obs::TraceKind::PhaseEnd, 0, "kernel");
-    };
+/**
+ * Load: the view's arrays are mapped, madvised per the selection and
+ * written through the MMU (paper Fig. 4 lines 1-5), then khugepaged
+ * runs once. Huge-page usage is recorded at this steady state, and
+ * kernel-anchored fault events (transient pressure departing, failure
+ * windows closing) resolve just before the kernel's first access.
+ */
+template <typename PropT>
+std::unique_ptr<SimView<PropT>>
+loadStage(const ExperimentConfig &cfg, const graph::CsrGraph &g,
+          Rig &rig, const std::atomic<bool> *cancel, PhaseSnaps &snaps,
+          RunResult &res)
+{
+    obs::ProfScope prof(obs::ProfPhase::Load);
+    SimMachine &machine = rig.machine;
+    snaps.init = MmuSnap::take(machine.mmu());
+    machine.trace().traceEvent(obs::TraceKind::PhaseBegin, 0, "init");
 
-    if (cfg.app == App::Pr)
-        run(double{});
+    typename SimView<PropT>::Options vopts;
+    vopts.order = cfg.order;
+    vopts.needValues = cfg.app == App::Sssp;
+    vopts.needAux = cfg.app == App::Pr;
+    vopts.fileSource = cfg.fileSource;
+    vopts.giantProperty = cfg.giantProperty;
+    auto view = std::make_unique<SimView<PropT>>(machine, g, vopts);
+
+    if (cfg.thpMode == vm::ThpMode::Madvise) {
+        if (cfg.madvise.vertex)
+            view->adviseVertexArray();
+        if (cfg.madvise.edge)
+            view->adviseEdgeArray();
+        if (cfg.madvise.values && cfg.app == App::Sssp)
+            view->adviseValuesArray();
+        if (cfg.madvise.propertyFraction > 0.0)
+            view->advisePropertyFraction(cfg.madvise.propertyFraction);
+    }
+
+    PropT init_value{};
+    if constexpr (std::is_same_v<PropT, std::uint64_t>)
+        init_value = (cfg.app == App::Cc) ? 0 : unreachedDist;
     else
-        run(std::uint64_t{});
+        init_value = static_cast<PropT>(1.0 / g.numNodes());
+    view->load(init_value);
+    checkCancel(cancel, "after load");
 
-    const MmuSnap after = MmuSnap::take(mmu);
-    const tlb::CostModel &costs = sys.costs;
+    if (cfg.khugepagedAfterInit)
+        machine.runKhugepaged();
+    res.footprintBytes = machine.space().footprintBytes();
+    res.hugeBackedBytes = machine.space().hugeBackedBytes();
+    res.giantBackedBytes = machine.space().giantBackedBytes();
+    if (rig.faults)
+        rig.faults->enterKernelPhase();
+    machine.trace().traceEvent(obs::TraceKind::PhaseEnd, 0, "init");
+    return view;
+}
 
-    res.initSeconds =
-        costs.seconds(before_kernel.totalCycles() -
-                      before_init.totalCycles());
-    res.kernelSeconds = costs.seconds(after.totalCycles() -
-                                      before_kernel.totalCycles());
+/** The app's kernel on a loaded view; returns its output. */
+template <typename PropT>
+std::uint64_t
+executeKernel(const ExperimentConfig &cfg, const graph::CsrGraph &g,
+              SimView<PropT> &view)
+{
+    obs::ProfScope prof(obs::ProfPhase::Kernel);
+    if constexpr (std::is_same_v<PropT, std::uint64_t>) {
+        const graph::NodeId root = defaultRoot(g);
+        if (cfg.app == App::Bfs)
+            return bfs(view, root);
+        if (cfg.app == App::Sssp)
+            return sssp(view, root, cfg.ssspDelta);
+        return labelPropagation(view, cfg.ccMaxIters);
+    } else {
+        return pagerank(view, cfg.prMaxIters, cfg.prDamping,
+                        cfg.prEpsilon)
+            .iterations;
+    }
+}
 
-    res.accesses = after.accesses - before_kernel.accesses;
-    res.dtlbMisses = after.dtlbMisses - before_kernel.dtlbMisses;
-    res.stlbHits = after.stlbHits - before_kernel.stlbHits;
-    res.walks = after.walks - before_kernel.walks;
-    res.dtlbMissRate =
-        res.accesses ? static_cast<double>(res.dtlbMisses) /
-                           static_cast<double>(res.accesses)
-                     : 0.0;
-    res.stlbMissRate =
-        res.accesses ? static_cast<double>(res.walks) /
-                           static_cast<double>(res.accesses)
-                     : 0.0;
+template <typename PropT>
+std::uint64_t
+verifyOutput(const SimView<PropT> &view)
+{
+    obs::ProfScope prof(obs::ProfPhase::Verify);
+    return propChecksum(view.propRaw());
+}
+
+/**
+ * Kernel: the app's kernel, or the replay of its recorded stream
+ * (replayOrRun), bracketed by the kernel phase events and the
+ * kernel-start counter snapshot.
+ */
+template <typename PropT>
+KernelOutcome
+kernelStage(const ExperimentConfig &cfg, const graph::CsrGraph &g,
+            SimView<PropT> &view, SimMachine &machine,
+            PhaseSnaps &snaps)
+{
+    machine.trace().traceEvent(obs::TraceKind::PhaseBegin, 0, "kernel");
+    snaps.kernel = MmuSnap::take(machine.mmu());
+    const KernelOutcome outcome = replayOrRun(cfg, machine.mmu(), [&] {
+        // Braced initializers evaluate in order: kernel, then checksum.
+        return KernelOutcome{executeKernel(cfg, g, view),
+                             verifyOutput(view)};
+    });
+    machine.trace().traceEvent(obs::TraceKind::PhaseEnd, 0, "kernel");
+    return outcome;
+}
+
+/** Load, then kernel, on one view, which is unmapped on return. */
+template <typename PropT>
+KernelOutcome
+loadAndRunKernel(const ExperimentConfig &cfg, const graph::CsrGraph &g,
+                 Rig &rig, const std::atomic<bool> *cancel, PhaseSnaps &snaps,
+                 RunResult &res)
+{
+    const auto view = loadStage<PropT>(cfg, g, rig, cancel, snaps, res);
+    return kernelStage(cfg, g, *view, rig.machine, snaps);
+}
+
+/** Collect: the RunResult from the phase snapshots, the kernel's
+ *  outcome and the machine's whole-run counters. */
+void
+collectStage(const PhaseSnaps &snaps, const KernelOutcome &outcome,
+             Rig &rig, RunResult &res)
+{
+    SimMachine &machine = rig.machine;
+    const MmuSnap after = MmuSnap::take(machine.mmu());
+    const MmuSnap &before = snaps.kernel;
+    const tlb::CostModel &costs = machine.config().costs;
+
+    res.initSeconds = costs.seconds(before.totalCycles() -
+                                    snaps.init.totalCycles());
     const std::uint64_t kernel_cycles =
-        after.totalCycles() - before_kernel.totalCycles();
+        after.totalCycles() - before.totalCycles();
+    res.kernelSeconds = costs.seconds(kernel_cycles);
+
+    res.accesses = after.accesses - before.accesses;
+    res.dtlbMisses = after.dtlbMisses - before.dtlbMisses;
+    res.stlbHits = after.stlbHits - before.stlbHits;
+    res.walks = after.walks - before.walks;
+    const auto share = [](double part, double whole) {
+        return whole != 0.0 ? part / whole : 0.0;
+    };
+    res.dtlbMissRate = share(res.dtlbMisses, res.accesses);
+    res.stlbMissRate = share(res.walks, res.accesses);
     res.translationCycleShare =
-        kernel_cycles
-            ? static_cast<double>(after.translation -
-                                  before_kernel.translation) /
-                  static_cast<double>(kernel_cycles)
-            : 0.0;
+        share(after.translation - before.translation, kernel_cycles);
 
     const vm::AddressSpace &space = machine.space();
     res.hugeFaults = space.hugeFaults.value();
@@ -744,73 +694,106 @@ runExperiment(const ExperimentConfig &cfg,
     res.injectedHugeFailures =
         machine.node().injectedHugeFailures.value();
     res.swapStalls = machine.swapDevice().stalledAllocs.value();
-    if (sys.fileBackedCsr) {
+    if (machine.config().fileBackedCsr) {
         const mem::AddressSpaceCache &fc = machine.fileCache();
         res.fileReads = fc.storageReads.value();
         res.fileWritebacks = fc.writebacks.value();
         res.fileEvictions = fc.evictions.value();
     }
-    if (faults)
-        res.faultEventsApplied = faults->eventsApplied();
-
+    if (rig.faults)
+        res.faultEventsApplied = rig.faults->eventsApplied();
     res.hugeFractionOfFootprint =
-        res.footprintBytes
-            ? static_cast<double>(res.hugeBackedBytes) /
-                  static_cast<double>(res.footprintBytes)
-            : 0.0;
+        share(res.hugeBackedBytes, res.footprintBytes);
 
     res.checksum = outcome.checksum;
     res.kernelOutput = outcome.output;
+}
 
-    if (sampler) {
-        const auto *epoch = sampler->finish();
-        if (epoch != nullptr && live)
-            live->publishEpoch(*epoch);
+/**
+ * Export: close the observers' streams (last epoch, run_end carrying
+ * the same resultJson document the caller receives), fold the run's
+ * host phase times into the process aggregate (zeroes while profiling
+ * is off) and write the telemetry documents.
+ */
+void
+exportStage(const ExperimentConfig &cfg, const RunResult &res,
+            RunObservers &observers, SimMachine &machine)
+{
+    if (observers.sampler) {
+        const auto *epoch = observers.sampler->finish();
+        if (epoch != nullptr && observers.live)
+            observers.live->publishEpoch(*epoch);
     }
-    if (live) {
-        // Final counters on the wire equal the RunResult the caller
-        // receives: run_end carries the same resultJson document.
-        live->publishRunEnd(resultJson(res));
-    }
-    // Uninstall before exporting: the export allocates and must
-    // never record into the sink it is reading.
-    hooks.release();
-
-    // Fold this run's phase wall-times into the process aggregate
-    // (zeroes while profiling is off).
+    if (observers.live)
+        observers.live->publishRunEnd(resultJson(res));
     const obs::PhaseBreakdown prof_run = obs::profEndRun();
+    if (!observers.trace)
+        return;
 
-    if (trace) {
-        obs::Json stats_json = obs::Json::object();
-        for (const auto &[name, value] : machine.stats().snapshot())
-            stats_json.set(name, obs::Json(value));
-        obs::Json extra = obs::Json::object();
-        extra.set("app", appName(cfg.app));
-        extra.set("dataset", cfg.dataset);
-        obs::Json events;
-        if (live) {
-            events = obs::Json::object();
-            events.set("published", obs::Json(live->published()));
-            events.set("subscriberDrops",
-                       obs::Json(live->subscriberDrops()));
-        }
-        obs::Json profile;
-        if (obs::profilingEnabled()) {
-            profile = obs::Json::object();
-            for (std::size_t i = 0; i < obs::profPhaseCount; ++i) {
-                profile.set(
-                    obs::profPhaseName(static_cast<obs::ProfPhase>(i)),
-                    obs::Json(prof_run.seconds[i]));
-            }
-        }
-        obs::writeRunTelemetry(obs::telemetry(), cfg.label(),
-                               cfg.fingerprint(), *trace,
-                               sampler ? &*sampler : nullptr,
-                               resultJson(res), std::move(stats_json),
-                               std::move(extra), std::move(events),
-                               std::move(profile));
+    obs::Json stats_json = obs::Json::object();
+    for (const auto &[name, value] : machine.stats().snapshot())
+        stats_json.set(name, obs::Json(value));
+    obs::Json extra = obs::Json::object();
+    extra.set("app", appName(cfg.app));
+    extra.set("dataset", cfg.dataset);
+    obs::Json events;
+    if (observers.live) {
+        events = obs::Json::object();
+        events.set("published", obs::Json(observers.live->published()));
+        events.set("subscriberDrops",
+                   obs::Json(observers.live->subscriberDrops()));
     }
+    obs::Json profile;
+    if (obs::profilingEnabled()) {
+        profile = obs::Json::object();
+        for (std::size_t i = 0; i < obs::profPhaseCount; ++i) {
+            profile.set(obs::profPhaseName(static_cast<obs::ProfPhase>(i)),
+                        obs::Json(prof_run.seconds[i]));
+        }
+    }
+    obs::writeRunTelemetry(
+        obs::telemetry(), cfg.label(), cfg.fingerprint(), *observers.trace,
+        observers.sampler ? &*observers.sampler : nullptr, resultJson(res),
+        std::move(stats_json), std::move(extra), std::move(events),
+        std::move(profile));
+}
+
+} // anonymous namespace
+
+RunResult
+runExperiment(const ExperimentConfig &cfg,
+              const std::atomic<bool> *cancel)
+{
+    checkCancel(cancel, "before dataset generation");
+    // Host-side phase timing (opt-in, see obs/profiler.hh): a dormant
+    // profiler leaves every byte of the run unchanged.
+    obs::profBeginRun();
+
+    RunResult res;
+    const std::shared_ptr<const graph::CsrGraph> built =
+        buildStage(cfg, cancel, res);
+    const graph::CsrGraph &g = *built;
+    RunObservers observers; // before the machine: it must outlive it
+    const std::unique_ptr<Rig> rig = assembleStage(cfg, g, cancel);
+    ageStage(cfg, g, *rig);
+    observers.attach(cfg, rig->machine);
+    PhaseSnaps snaps;
+    const KernelOutcome outcome =
+        cfg.app == App::Pr
+            ? loadAndRunKernel<double>(cfg, g, *rig, cancel, snaps, res)
+            : loadAndRunKernel<std::uint64_t>(cfg, g, *rig, cancel, snaps,
+                                              res);
+    collectStage(snaps, outcome, *rig, res);
+    exportStage(cfg, res, observers, rig->machine);
     return res;
+}
+
+std::uint64_t
+workingSetBytes(const ExperimentConfig &cfg)
+{
+    const auto g = cachedDataset(cfg.dataset, cfg.scaleDivisor,
+                                 cfg.app == App::Sssp, cfg.seed);
+    return wssOf(*g, cfg.app);
 }
 
 std::size_t

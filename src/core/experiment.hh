@@ -4,9 +4,10 @@
  *
  * An ExperimentConfig captures application, dataset, page-size policy,
  * memory-pressure environment and preprocessing; runExperiment()
- * assembles the machine, ages its memory, loads the graph, executes
- * the kernel, and reports the paper's metrics (runtime, TLB miss
- * rates, huge-page usage).
+ * runs the paper's protocol as stages (experiment.cc): build the
+ * graph, assemble the machine, age its memory, load the graph, run
+ * the kernel, collect the paper's metrics (runtime, TLB miss rates,
+ * huge-page usage) and export the observers' documents.
  */
 
 #ifndef GPSM_CORE_EXPERIMENT_HH

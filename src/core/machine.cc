@@ -33,6 +33,10 @@ SimMachine::SimMachine(const SystemConfig &config,
     numa.migrateOnPromote = config.numaMigrateOnPromote;
     addressSpace =
         std::make_unique<vm::AddressSpace>(*memNode, *swap, thp, numa);
+    memNode->setTraceHook(&traceFanout);
+    if (memNode1 != nullptr)
+        memNode1->setTraceHook(&traceFanout);
+    addressSpace->setTraceHook(&traceFanout);
 
     tlb::Tlb l1("dtlb",
                 {config.l1Base, config.l1Huge, config.l1Giant});

@@ -13,6 +13,7 @@
 #include "mem/addr_space_cache.hh"
 #include "mem/memory_node.hh"
 #include "mem/swap_device.hh"
+#include "obs/hooks.hh"
 #include "tlb/mmu.hh"
 #include "util/stats.hh"
 #include "vm/address_space.hh"
@@ -67,8 +68,11 @@ class SimMachine
     }
     vm::AddressSpace &space() { return *addressSpace; }
     tlb::Mmu &mmu() { return *mmuUnit; }
-    vm::Khugepaged &khugepaged() { return *khuge; }
     StatSet &stats() { return statSet; }
+    /** The trace fan-out, wired into the address space and every
+     *  memory node at construction. Observers attached here must
+     *  outlive the machine. */
+    obs::TraceFanout &trace() { return traceFanout; }
     const SystemConfig &config() const { return sysConfig; }
 
     /**
@@ -89,11 +93,10 @@ class SimMachine
     void enableKhugepagedDuringExecution(
         std::uint64_t interval_accesses);
 
-    /** Daemon work performed so far (not part of application time). */
-    Cycles backgroundCycles() const { return bgCycles.value(); }
-
   private:
     SystemConfig sysConfig;
+    /** Declared before the components so it outlives them. */
+    obs::TraceFanout traceFanout;
 
     std::unique_ptr<mem::MemoryNode> memNode;
     /** Second NUMA node; null unless config.numaEnabled(). */

@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "core/experiment.hh"
+#include "obs/profiler.hh"
 #include "tlb/mmu.hh"
 #include "util/logging.hh"
 
@@ -148,6 +149,52 @@ replayAbandon(const std::string &key, bool pin_live)
         s.pinnedLive.insert(key);
         ++s.stats.fallbacks;
     }
+}
+
+KernelOutcome
+replayOrRun(const ExperimentConfig &cfg, tlb::Mmu &mmu,
+            const std::function<KernelOutcome()> &live)
+{
+    if (!replayOptions().enabled)
+        return live();
+    const std::string key = streamFingerprint(cfg);
+    if (const auto published = replayLookup(key)) {
+        // Compiled when the byte budget allows, else streaming:
+        // identical counters either way.
+        const auto compiled = [&] {
+            obs::ProfScope prof(obs::ProfPhase::ReplayDecode);
+            return compiledLookup(key, *published);
+        }();
+        obs::ProfScope prof(obs::ProfPhase::ReplayDispatch);
+        if (compiled)
+            replayCompiled(*compiled, mmu);
+        else
+            replayTrace(*published, mmu);
+        return KernelOutcome{published->kernelOutput, published->checksum};
+    }
+    if (!replayClaimRecording(key)) {
+        noteReplayFallback();
+        return live();
+    }
+
+    TraceRecorder recorder(replayOptions().maxTraceBytes);
+    mmu.setAccessRecorder(&recorder);
+    KernelOutcome out;
+    try {
+        out = live();
+    } catch (...) {
+        mmu.setAccessRecorder(nullptr);
+        replayAbandon(key, /*pin_live=*/false);
+        throw;
+    }
+    mmu.setAccessRecorder(nullptr);
+    if (recorder.overflowed()) {
+        replayAbandon(key, /*pin_live=*/true);
+    } else {
+        replayPublish(key, std::make_shared<RecordedTrace>(
+                               recorder.take(out.output, out.checksum)));
+    }
+    return out;
 }
 
 void

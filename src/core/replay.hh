@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -135,6 +136,25 @@ void replayAbandon(const std::string &key, bool pin_live);
 /** Count a run that had replay enabled but executed live. */
 void noteReplayFallback();
 /** @} */
+
+/** What a kernel execution yields host-side. */
+struct KernelOutcome
+{
+    std::uint64_t output = 0;   ///< reached vertices / iterations
+    std::uint64_t checksum = 0; ///< checksum of the property array
+};
+
+/**
+ * The kernel phase under the replay protocol. A stream published for
+ * @p cfg's streamFingerprint() is fed through @p mmu in place of the
+ * kernel (decoded once, then dispatched) and its recorded outputs are
+ * returned. Otherwise @p live runs: behind a TraceRecorder when this
+ * run wins the recorder claim, which then publishes the stream, or
+ * abandons the claim on overflow (pinning the key live) or on an
+ * exception (which propagates). With replay off, @p live just runs.
+ */
+KernelOutcome replayOrRun(const ExperimentConfig &cfg, tlb::Mmu &mmu,
+                          const std::function<KernelOutcome()> &live);
 
 /** Encodes the stream observed through the Mmu recorder hook. */
 class TraceRecorder final : public tlb::AccessRecorder

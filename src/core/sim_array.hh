@@ -111,7 +111,7 @@ class SimArray
 
     /**
      * Traced read of elements @p i and @p i + 1 — the CSR offset-pair
-     * pattern (edgeBegin/edgeEnd). Goes through the MMU's batched
+     * pattern (a vertex's edge range). Goes through the MMU's batched
      * translateRun, so the adjacent element reuses the translation the
      * first one established; counters match two get() calls exactly.
      */
@@ -170,13 +170,6 @@ class SimArray
         machine->space().madviseHuge(base,
                                      std::min<std::uint64_t>(len,
                                                              bytes()));
-    }
-
-    /** madvise(MADV_NOHUGEPAGE) the whole array. */
-    void
-    adviseNoHuge()
-    {
-        machine->space().madviseNoHuge(base, bytes());
     }
 
     /**

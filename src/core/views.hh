@@ -118,14 +118,6 @@ class SimView
         if (values)
             values->adviseHugeFraction(1.0);
     }
-    void
-    adviseAll()
-    {
-        adviseVertexArray();
-        adviseEdgeArray();
-        adviseValuesArray();
-        advisePropertyFraction(1.0);
-    }
     /** @} */
 
     /**
@@ -189,11 +181,6 @@ class SimView
     graph::EdgeIdx numEdges() const { return g->numEdges(); }
 
     graph::EdgeIdx edgeBegin(graph::NodeId v) { return vertex->get(v); }
-    graph::EdgeIdx
-    edgeEnd(graph::NodeId v)
-    {
-        return vertex->get(static_cast<size_t>(v) + 1);
-    }
     /** Both CSR offsets of @p v in one batched translation. */
     EdgeRange
     edgeRange(graph::NodeId v)
@@ -289,11 +276,6 @@ class NativeView
     edgeBegin(graph::NodeId v) const
     {
         return g->vertexArray()[v];
-    }
-    graph::EdgeIdx
-    edgeEnd(graph::NodeId v) const
-    {
-        return g->vertexArray()[static_cast<size_t>(v) + 1];
     }
     EdgeRange
     edgeRange(graph::NodeId v) const

@@ -29,10 +29,11 @@ FaultSession::FaultSession(const FaultPlan &plan,
                            std::uint64_t config_seed,
                            mem::MemoryNode &target_node,
                            mem::SwapDevice &target_swap,
-                           tlb::Mmu &target_mmu)
+                           tlb::Mmu &target_mmu,
+                           obs::TraceHook *trace_hook)
     : node(target_node), swap(target_swap), mmu(target_mmu),
       rng(mixSeeds(plan.seed, config_seed)), transientHog(target_node),
-      permanentHog(target_node)
+      permanentHog(target_node), traceHook(trace_hook)
 {
     schedule.reserve(plan.events.size());
     for (const FaultEvent &ev : plan.events) {

@@ -47,10 +47,13 @@ class FaultSession final : public mem::AllocationInterceptor,
      * @param config_seed The experiment seed; mixed into the plan seed
      *        so probabilistic vetoes differ across experiment seeds
      *        but are reproducible for each.
+     * @param trace_hook Where every applied point event (FaultEvent) and
+     *        veto (FaultVeto) is mirrored: the machine's trace fan-out,
+     *        or null. Observation-only; it must outlive the session.
      */
     FaultSession(const FaultPlan &plan, std::uint64_t config_seed,
                  mem::MemoryNode &node, mem::SwapDevice &swap,
-                 tlb::Mmu &mmu);
+                 tlb::Mmu &mmu, obs::TraceHook *trace_hook = nullptr);
     ~FaultSession() override;
 
     FaultSession(const FaultSession &) = delete;
@@ -92,14 +95,6 @@ class FaultSession final : public mem::AllocationInterceptor,
     }
 
     static constexpr std::size_t traceCapacity = 65536;
-
-    /**
-     * Install (or, with nullptr, remove) the telemetry trace hook.
-     * Every applied point event (FaultEvent) and veto (FaultVeto) is
-     * mirrored through it. Observation-only: the hook never alters
-     * what the session applies or records.
-     */
-    void setTraceHook(obs::TraceHook *hook) { traceHook = hook; }
 
   private:
     /** One plan event bound to resolved clock values. */
@@ -147,7 +142,7 @@ class FaultSession final : public mem::AllocationInterceptor,
     mem::Memhog permanentHog;  ///< FramePoolShrink target
 
     std::vector<AppliedEvent> applied;
-    obs::TraceHook *traceHook = nullptr;
+    obs::TraceHook *const traceHook;
     std::uint64_t appliedCount = 0;
     bool anyPending = false; ///< unfired point events remain
 };

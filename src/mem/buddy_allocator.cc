@@ -20,17 +20,6 @@ namespace gpsm::mem
 {
 
 const char *
-migratetypeName(Migratetype mt)
-{
-    switch (mt) {
-      case Migratetype::Movable: return "movable";
-      case Migratetype::Unmovable: return "unmovable";
-      case Migratetype::Pinned: return "pinned";
-    }
-    return "?";
-}
-
-const char *
 numaPlacementName(NumaPlacement p)
 {
     switch (p) {

@@ -118,7 +118,6 @@ class BuddyAllocator
     FrameNum frameBase() const { return fbase; }
     unsigned maxOrder() const { return maxOrd; }
     std::uint64_t freeFrames() const { return nfree; }
-    std::uint64_t allocatedFrames() const { return nframes - nfree; }
 
     /** Number of free blocks at exactly @p order (cached, O(1)). */
     std::uint64_t freeBlocksAt(unsigned order) const;

@@ -124,10 +124,9 @@ class MemoryNode
     }
 
     /**
-     * Install (or, with nullptr, remove) the telemetry trace hook;
-     * direct-compaction passes are reported through it. Same contract
-     * as the fault interceptor: one hook, caller-owned, observation-
-     * only.
+     * Wire the trace hook that direct-compaction passes are reported
+     * through (core::SimMachine wires its fan-out once, at assembly).
+     * Caller-owned, must outlive the node, observation-only.
      */
     void setTraceHook(obs::TraceHook *hook) { traceHook = hook; }
 

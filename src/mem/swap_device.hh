@@ -40,7 +40,7 @@ class SwapDevice
   public:
     /** @param bytes Device capacity; @param page_bytes slot size. */
     SwapDevice(std::uint64_t bytes, std::uint64_t page_bytes)
-        : slotBytes(page_bytes), totalSlots(bytes / page_bytes)
+        : totalSlots(bytes / page_bytes)
     {
     }
 
@@ -82,15 +82,12 @@ class SwapDevice
     {
         return nextSlot - freeSlots.size();
     }
-    std::uint64_t capacitySlots() const { return totalSlots; }
-    std::uint64_t usedBytes() const { return usedSlots() * slotBytes; }
 
     Counter pagesOut;
     Counter pagesIn;
     Counter stalledAllocs; ///< slot requests refused by a fault window
 
   private:
-    std::uint64_t slotBytes;
     std::uint64_t totalSlots;
     std::uint64_t nextSlot = 0;
     std::vector<std::uint64_t> freeSlots;

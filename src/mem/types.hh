@@ -53,8 +53,6 @@ enum class Migratetype : std::uint8_t
     Pinned,
 };
 
-const char *migratetypeName(Migratetype mt);
-
 /**
  * Where policy-eligible anonymous allocations land on a two-node
  * machine (numactl analogues). FirstTouch is the single-node-

@@ -180,11 +180,11 @@ bool eventStreamActive();
 Json makeEvent(const char *type, const std::string &run);
 
 /**
- * Per-run live publisher: the TraceHook installed (possibly tee'd
- * with a TraceSink) while a run streams. Maps phase and discrete
- * trace events onto bus records stamped with this run's id and the
- * simulated access clock, and offers the explicit run_begin / epoch /
- * run_end emissions the hook interface has no vocabulary for.
+ * Per-run live publisher: the TraceHook attached to the machine's
+ * fan-out (next to any TraceSink) while a run streams. Maps phase and
+ * discrete trace events onto bus records stamped with this run's id
+ * and the simulated access clock, and offers the explicit run_begin /
+ * epoch / run_end emissions the hook interface has no vocabulary for.
  */
 class RunEventPublisher final : public TraceHook
 {
@@ -215,30 +215,6 @@ class RunEventPublisher final : public TraceHook
     const Counter &clock;
     std::uint64_t publishedCount = 0;
     std::uint64_t dropCount = 0;
-};
-
-/** Fan one hook call out to two receivers (sink + live publisher). */
-class TeeTraceHook final : public TraceHook
-{
-  public:
-    TeeTraceHook(TraceHook *first, TraceHook *second)
-        : a(first), b(second)
-    {
-    }
-
-    void
-    traceEvent(TraceKind kind, std::uint64_t detail,
-               const char *name) override
-    {
-        if (a != nullptr)
-            a->traceEvent(kind, detail, name);
-        if (b != nullptr)
-            b->traceEvent(kind, detail, name);
-    }
-
-  private:
-    TraceHook *a;
-    TraceHook *b;
 };
 
 } // namespace gpsm::obs

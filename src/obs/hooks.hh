@@ -2,12 +2,14 @@
  * @file
  * Narrow observability hook interface, in the style of the fault
  * layer's interceptors (mem::AllocationInterceptor): memory-management
- * components call a TraceHook — when one is installed — at the handful
- * of discrete events the telemetry layer records. With no hook
- * installed the event sites cost one null-pointer test on paths that
- * are already rare (promotion, compaction, fault vetoes), and the
- * simulation state they observe is never modified, so a hook-free run
- * is bit-identical to a build without the obs layer.
+ * components call a TraceHook at the handful of discrete events the
+ * telemetry layer records. A machine wires its components once to its
+ * TraceFanout; observers attach to the fan-out, not to components.
+ * With no observer attached an event site costs a virtual call and an
+ * empty loop on paths that are already rare (promotion, compaction,
+ * fault vetoes), and the simulation state they observe is never
+ * modified, so an unobserved run is bit-identical to a build without
+ * the obs layer.
  *
  * This header is dependency-free so vm/, mem/ and fault/ can include
  * it without linking gpsm_obs; only the implementations (obs::
@@ -18,6 +20,7 @@
 #define GPSM_OBS_HOOKS_HH
 
 #include <cstdint>
+#include <vector>
 
 namespace gpsm::obs
 {
@@ -37,9 +40,8 @@ enum class TraceKind : std::uint8_t
 const char *traceKindName(TraceKind kind);
 
 /**
- * Receiver for discrete trace events. Implemented by obs::TraceSink;
- * installed per machine by the telemetry session and removed before
- * the machine is torn down.
+ * Receiver for discrete trace events. Implemented by obs::TraceSink
+ * (telemetry), obs::RunEventPublisher (event stream) and TraceFanout.
  */
 class TraceHook
 {
@@ -54,6 +56,25 @@ class TraceHook
      */
     virtual void traceEvent(TraceKind kind, std::uint64_t detail,
                             const char *name) = 0;
+};
+
+/** One machine's trace fan-out: forwards each event to every attached
+ *  receiver, in attach order, for the machine's lifetime. */
+class TraceFanout final : public TraceHook
+{
+  public:
+    void attach(TraceHook &hook) { hooks.push_back(&hook); }
+
+    void
+    traceEvent(TraceKind kind, std::uint64_t detail,
+               const char *name) override
+    {
+        for (TraceHook *hook : hooks)
+            hook->traceEvent(kind, detail, name);
+    }
+
+  private:
+    std::vector<TraceHook *> hooks;
 };
 
 } // namespace gpsm::obs

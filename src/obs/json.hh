@@ -60,7 +60,6 @@ class Json
     static Json object() { Json j; j.kind_ = Kind::Object; return j; }
 
     Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
     bool isNumber() const { return kind_ == Kind::Number; }
     bool isString() const { return kind_ == Kind::String; }
     bool isArray() const { return kind_ == Kind::Array; }

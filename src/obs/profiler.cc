@@ -106,12 +106,10 @@ ProfScope::ProfScope(ProfPhase phase) : phase(phase)
     start = std::chrono::steady_clock::now();
 }
 
-void
-ProfScope::stop()
+ProfScope::~ProfScope()
 {
     if (!active)
         return;
-    active = false;
     tRun.seconds[static_cast<unsigned>(phase)] +=
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)

@@ -91,21 +91,18 @@ ProfTotals profTotals();
 void profReset();
 
 /**
- * RAII phase timer. Constructed cheaply when profiling is off (one
- * branch, no clock read). stop() makes split phases possible (a scope
- * opened in runExperiment and closed inside the kernel lambda).
+ * RAII phase timer: charges the wall time between construction and
+ * destruction to the phase. Constructed cheaply when profiling is off
+ * (one branch, no clock read).
  */
 class ProfScope
 {
   public:
     explicit ProfScope(ProfPhase phase);
-    ~ProfScope() { stop(); }
+    ~ProfScope();
 
     ProfScope(const ProfScope &) = delete;
     ProfScope &operator=(const ProfScope &) = delete;
-
-    /** Charge the elapsed time to the phase; idempotent. */
-    void stop();
 
   private:
     ProfPhase phase;

@@ -102,7 +102,8 @@ class TimeSeriesSampler
         std::vector<std::pair<std::string, std::uint64_t>>()>;
 
     /**
-     * @param stats The machine StatSet (outlives the sampler).
+     * @param stats The machine StatSet (alive for every tick() and
+     *        finish(); the destructor does not read it).
      * @param clock The access counter epochs are stamped with.
      * @param interval Epoch length in accesses (documentation only;
      *        ticking is driven externally).

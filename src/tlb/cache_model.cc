@@ -52,7 +52,9 @@ CacheModel::probe(Addr addr, unsigned tag,
     // a miss installs the line without re-walking the set. Fill order
     // matches the probe order: the hit line is stamped during its
     // level's scan, then every level above the hit point is filled
-    // L1-first (inclusive hierarchy).
+    // L1-first. The hierarchy is non-inclusive: no level
+    // back-invalidates another, and a hit leaves outer levels'
+    // stamps alone.
     const size_t n = lvls.size();
     Line *victims[maxLevels];
     size_t hit_level = n;

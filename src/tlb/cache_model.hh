@@ -34,9 +34,11 @@ struct CacheLevelConfig
 };
 
 /**
- * Inclusive multi-level cache. access() probes L1..Ln in order and
+ * Non-inclusive multi-level cache. access() probes L1..Ln in order and
  * returns the cycles of the first hit (or the memory latency on a full
- * miss), filling all levels on the way back.
+ * miss), filling every level above the hit on the way back. Nothing
+ * back-invalidates and a hit restamps only its own level, so an outer
+ * level may evict a line that an inner level still holds.
  */
 class CacheModel
 {

@@ -233,7 +233,6 @@ class Mmu
 
     const CostModel &costModel() const { return costs; }
     CacheModel *cacheModel() { return cache.get(); }
-    vm::AddressSpace &addressSpace() { return space; }
     Tlb &l1() { return dtlb; }
     Tlb &l2() { return stlb; }
 

@@ -49,7 +49,6 @@ class TableWriter
     void print(std::ostream &os, bool with_csv = true) const;
 
     size_t rows() const { return body.size(); }
-    const std::string &title() const { return _title; }
 
   private:
     std::string _title;

@@ -53,11 +53,6 @@ class ThreadPool
     /** Block until every submitted job has finished executing. */
     void wait();
 
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(workers.size());
-    }
-
     /** std::thread::hardware_concurrency with a sane fallback of 1. */
     static unsigned hardwareThreads();
 

@@ -324,19 +324,6 @@ AddressSpace::regionEmpty(std::uint64_t huge_vpn) const
     return pt.regionEmpty(huge_vpn);
 }
 
-std::vector<std::uint64_t>
-AddressSpace::presentInRegion(std::uint64_t huge_vpn) const
-{
-    std::vector<std::uint64_t> out;
-    const std::uint64_t span = 1ull << hugeOrd;
-    for (std::uint64_t v = huge_vpn; v < huge_vpn + span; ++v) {
-        PageTable::Translation t = pt.lookup(v);
-        if (t.valid && t.size == PageSizeClass::Base && t.pte.present)
-            out.push_back(v);
-    }
-    return out;
-}
-
 TouchInfo
 AddressSpace::touch(Addr vaddr, bool write)
 {

@@ -291,10 +291,10 @@ class AddressSpace : public mem::PageClient, public mem::FileMapper
     void registerStats(StatSet &stats, const std::string &prefix) const;
 
     /**
-     * Install (or, with nullptr, remove) the telemetry trace hook;
-     * promotion and demotion events are reported through it. Same
-     * contract as the fault interceptors: at most one, caller-owned,
-     * uninstalled before destruction, and observation-only.
+     * Wire the trace hook that promotion and demotion events are
+     * reported through (core::SimMachine wires its fan-out once, at
+     * assembly). Caller-owned, must outlive the address space,
+     * observation-only.
      */
     void setTraceHook(obs::TraceHook *hook) { traceHook = hook; }
 
@@ -360,8 +360,6 @@ class AddressSpace : public mem::PageClient, public mem::FileMapper
 
     /** True when no PTE (present or swapped) covers the huge region. */
     bool regionEmpty(std::uint64_t huge_vpn) const;
-    /** Present base VPNs within the huge region. */
-    std::vector<std::uint64_t> presentInRegion(std::uint64_t huge_vpn) const;
 
     mem::MemoryNode &node;
     mem::SwapDevice &swap;

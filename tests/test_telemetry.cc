@@ -9,20 +9,25 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/metrics.hh"
 #include "core/report.hh"
 #include "core/runner.hh"
+#include "fault/fault_plan.hh"
+#include "obs/events.hh"
 #include "obs/json.hh"
 #include "obs/profiler.hh"
 #include "obs/telemetry.hh"
+#include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/units.hh"
 
@@ -345,6 +350,103 @@ TEST(Telemetry, WrittenDocumentsValidateAndCarryResult)
     EXPECT_GE(parsed_lines, 1u); // header line at minimum
 
     fs::remove_all(dir);
+}
+
+TEST(Telemetry, TwoNodeRunTracesCompactionOnBothNodes)
+{
+    // Huge faults bind to node 1, which memhog and the fragmenter
+    // pressured, so direct compaction runs there. Every pass on either
+    // node is one "compaction" trace event.
+    ExperimentConfig cfg = smallConfig(App::Bfs, "kron");
+    cfg.sys.enableSecondNode();
+    cfg.sys.numaPlacement = NumaPlacement::RemoteOnly;
+    cfg.pressureNode = PressureNode::Remote;
+    cfg.thpMode = vm::ThpMode::Always;
+    cfg.constrainMemory = true;
+    cfg.slackBytes = static_cast<std::int64_t>(8_MiB);
+    cfg.fragLevel = 0.5;
+    const std::string dir = freshDir("gpsm_test_node1_compaction");
+    {
+        ScopedTelemetry scoped(dir);
+        runExperiment(cfg);
+    }
+
+    const std::string id = obs::runId(cfg.fingerprint());
+    const auto doc =
+        obs::parseJson(slurp(fs::path(dir) / ("run_" + id + ".json")));
+    ASSERT_TRUE(doc.has_value());
+    const obs::Json *stats = doc->find("stats");
+    ASSERT_NE(stats, nullptr);
+    const double node0 = stats->find("node.compactionRuns")->asNumber();
+    const double node1 = stats->find("node1.compactionRuns")->asNumber();
+    EXPECT_GT(node1, 0.0);
+
+    const auto trace =
+        obs::parseJson(slurp(fs::path(dir) / ("trace_" + id + ".json")));
+    ASSERT_TRUE(trace.has_value());
+    double compactions = 0;
+    for (const obs::Json &ev : trace->find("traceEvents")->elements())
+        if (ev.find("name")->asString() == "compaction")
+            ++compactions;
+    EXPECT_EQ(compactions, node0 + node1);
+    fs::remove_all(dir);
+}
+
+TEST(Telemetry, CancelWithEveryObserverArmedLeavesNoState)
+{
+    // Telemetry, a live subscriber and a fault plan all observe the
+    // run; a watcher cancels it once the kernel phase begins.
+    ExperimentConfig cfg = smallConfig(App::Pr, "kron");
+    cfg.scaleDivisor = 2048;
+    cfg.faultPlan = fault::FaultPlan::transientPressure(
+        workingSetBytes(cfg) + cfg.sys.hugePageBytes());
+    const std::string id = obs::runId(cfg.fingerprint());
+    const std::string before = freshDir("gpsm_test_cancel_before");
+    const std::string cancelled = freshDir("gpsm_test_cancel_cancelled");
+    const std::string after = freshDir("gpsm_test_cancel_after");
+
+    obs::EventBus &bus = obs::EventBus::instance();
+    const obs::EventBus::SubPtr sub = bus.subscribe(1u << 20);
+    const auto drain = [&sub] {
+        while (sub->pop(0.0)) {
+        }
+    };
+    // The reference: this config's documents from a process in which
+    // no run was cancelled yet.
+    {
+        ScopedTelemetry scoped(before);
+        runExperiment(cfg);
+    }
+    drain();
+
+    std::atomic<bool> cancel{false};
+    std::thread watcher([&sub, &cancel] {
+        while (const auto line = sub->pop(60.0)) {
+            if (line->find("\"phase_begin\"") != std::string::npos &&
+                line->find("\"kernel\"") != std::string::npos) {
+                cancel.store(true, std::memory_order_relaxed);
+                return;
+            }
+        }
+    });
+    {
+        ScopedTelemetry scoped(cancelled);
+        EXPECT_THROW(runExperiment(cfg, &cancel), CancelledError);
+    }
+    watcher.join();
+    EXPECT_TRUE(cancel.load());
+    EXPECT_FALSE(fs::exists(fs::path(cancelled) / ("run_" + id + ".json")));
+    drain();
+
+    {
+        ScopedTelemetry scoped(after);
+        runExperiment(cfg);
+    }
+    bus.unsubscribe(sub);
+    EXPECT_FALSE(dirContents(before).empty());
+    EXPECT_EQ(dirContents(before), dirContents(after));
+    for (const std::string &dir : {before, cancelled, after})
+        fs::remove_all(dir);
 }
 
 TEST(Profiler, DormantProfilerIsBitIdenticalAndAddsNoBytes)
