@@ -347,11 +347,10 @@ runAll(const std::vector<core::ExperimentConfig> &configs)
     if (gOpts.harness.replay) {
         const core::ReplayStats rs = core::replayStats();
         note("  replay: %llu streams recorded, %llu kernels skipped, "
-             "%llu live fallbacks, %llu decoded-cache hits",
+             "%llu live fallbacks",
              static_cast<unsigned long long>(rs.recorded),
              static_cast<unsigned long long>(rs.replayed),
-             static_cast<unsigned long long>(rs.fallbacks),
-             static_cast<unsigned long long>(rs.compiledHits));
+             static_cast<unsigned long long>(rs.fallbacks));
     }
     if (failures > 0) {
         std::fprintf(stderr, "fatal: %zu of %zu experiments failed\n",

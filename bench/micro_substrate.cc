@@ -282,8 +282,8 @@ main(int argc, char **argv)
             }));
     }
 
-    // --- replay: compiled-trace dispatch (the sweep-replay inner
-    //     loop: fixed-width records straight into the MMU) ---
+    // --- replay: packed-trace dispatch (the sweep-replay inner
+    //     loop: recorded words straight into the MMU) ---
     {
         const std::uint64_t elems = 1 << 18;
         const std::uint64_t records = quick ? 1 << 16 : 1 << 18;
@@ -306,18 +306,9 @@ main(int argc, char **argv)
             }
         }
         const core::RecordedTrace trace = recorder.take(0, 0);
-        const core::CompiledTrace compiled = core::compileTrace(trace);
         results.push_back(
             timeCase("replay_dispatch", records, reps, [&]() {
-                core::replayCompiled(compiled, m.mmu());
-            }));
-
-        // Streaming decoder on the same stream and machine, so the
-        // decode-once saving is an in-process A/B (immune to the
-        // machine drift that plagues cross-run comparisons).
-        results.push_back(
-            timeCase("replay_stream", records, reps, [&]() {
-                core::replayTrace(trace, m.mmu());
+                core::replayCompiled(*trace.packed, m.mmu());
             }));
     }
 

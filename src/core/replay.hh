@@ -13,7 +13,7 @@
  * kernel only to regenerate the same stream.
  *
  * With replay enabled, the first run of each distinct stream records
- * it (delta-encoded, behind the Mmu's AccessRecorder hook) together
+ * it (packed, behind the Mmu's AccessRecorder hook) together
  * with the kernel outputs; subsequent runs whose streamFingerprint()
  * matches skip the kernel and feed the recorded stream back through
  * mmu.access()/translateRun(). Because every simulated effect — TLB
@@ -55,8 +55,8 @@ struct ReplayOptions
     bool enabled = false;
     /**
      * Recording aborts (and the config is pinned to live execution)
-     * once the encoded trace exceeds this size; bounds sweep memory
-     * on huge kernels.
+     * once the packed trace exceeds this many bytes; bounds sweep
+     * memory on huge kernels.
      */
     std::uint64_t maxTraceBytes = 1ull << 30;
 };
@@ -70,12 +70,6 @@ struct ReplayStats
     std::uint64_t recorded = 0;  ///< traces captured and published
     std::uint64_t replayed = 0;  ///< kernel executions skipped
     std::uint64_t fallbacks = 0; ///< replay enabled but ran live
-    std::uint64_t compiled = 0;  ///< streams decoded once to records
-    /** Replays served from an already-decoded stream (no varint work). */
-    std::uint64_t compiledHits = 0;
-    /** Streams whose decoded form exceeded maxTraceBytes and were
-     *  pinned to the streaming decoder. */
-    std::uint64_t compiledOverflows = 0;
 };
 
 ReplayStats replayStats();
@@ -84,18 +78,48 @@ ReplayStats replayStats();
 void resetReplayCache();
 
 /**
+ * A recorded stream in its one stored form: dispatch-ready 32-bit
+ * words in fixed-size chunks (DESIGN.md §5f). Each record starts with
+ * a word whose bits 0-2 are the tag and bit 3 the write flag:
+ *  - bit 4 clear: a short scalar access, address = (word >> 5) << 2
+ *    (4-aligned addresses below 2^29, which graph kernels on
+ *    footprints under 512 MiB issue throughout);
+ *  - bit 4 set, bit 5 clear: a long scalar access, followed by the
+ *    64-bit address in two words (low half first);
+ *  - bits 4 and 5 set: a translateRun record, followed by the 64-bit
+ *    start, count and stride.
+ * A record never straddles two chunks.
+ */
+struct CompiledTrace
+{
+    /** Words per chunk: 1 MiB. */
+    static constexpr std::size_t chunkWords = std::size_t{1} << 18;
+
+    std::vector<std::vector<std::uint32_t>> chunks;
+
+    /** Packed bytes: 4 per stored word (the slack a chunk leaves when
+     *  the next multi-word record does not fit is not counted). */
+    std::uint64_t
+    byteSize() const
+    {
+        std::uint64_t words = 0;
+        for (const auto &c : chunks)
+            words += c.size();
+        return words * sizeof(std::uint32_t);
+    }
+};
+
+/**
  * One recorded kernel-phase stream plus the outputs that cannot be
  * recomputed without re-executing the kernel host-side.
  */
 struct RecordedTrace
 {
-    /**
-     * Record format (delta/varint, DESIGN.md §5f): each record is one
-     * header byte — bits 0-2 tag, bit 3 write, bit 4 run — followed by
-     * the zigzag-varint delta of the (start) address against the
-     * previous record's, and, for runs, varint count and stride.
-     */
+    /** Always empty: the stream lives in @ref packed. Kept, with
+     *  compiledLookup() and compileTrace(), for perfbench's stage
+     *  driver, which sizes held traces as bytes + compiled bytes. */
     std::vector<std::uint8_t> bytes;
+    std::shared_ptr<const CompiledTrace> packed;
     std::uint64_t records = 0;
     std::uint64_t kernelOutput = 0;
     std::uint64_t checksum = 0;
@@ -147,16 +171,16 @@ struct KernelOutcome
 /**
  * The kernel phase under the replay protocol. A stream published for
  * @p cfg's streamFingerprint() is fed through @p mmu in place of the
- * kernel (decoded once, then dispatched) and its recorded outputs are
- * returned. Otherwise @p live runs: behind a TraceRecorder when this
- * run wins the recorder claim, which then publishes the stream, or
- * abandons the claim on overflow (pinning the key live) or on an
- * exception (which propagates). With replay off, @p live just runs.
+ * kernel and its recorded outputs are returned. Otherwise @p live
+ * runs: behind a TraceRecorder when this run wins the recorder claim,
+ * which then publishes the stream, or abandons the claim on overflow
+ * (pinning the key live) or on an exception (which propagates). With
+ * replay off, @p live just runs.
  */
 KernelOutcome replayOrRun(const ExperimentConfig &cfg, tlb::Mmu &mmu,
                           const std::function<KernelOutcome()> &live);
 
-/** Encodes the stream observed through the Mmu recorder hook. */
+/** Packs the stream observed through the Mmu recorder hook. */
 class TraceRecorder final : public tlb::AccessRecorder
 {
   public:
@@ -168,94 +192,79 @@ class TraceRecorder final : public tlb::AccessRecorder
                    std::size_t stride, bool write,
                    unsigned tag) override;
 
-    /** True once the size cap was hit; the trace is unusable. */
+    /** True once the size cap was hit; the trace is unusable and its
+     *  partial stream already freed. */
     bool overflowed() const { return overflow; }
+
+    /** Bytes of chunk storage held right now (0 once overflowed). */
+    std::uint64_t heldBytes() const;
 
     /** Finish recording, attaching the kernel outputs. */
     RecordedTrace take(std::uint64_t kernel_output,
                        std::uint64_t checksum);
 
   private:
-    void putHeader(unsigned tag, bool write, bool run);
-    void putVarint(std::uint64_t v);
-    void putDelta(std::uint64_t addr);
+    /** Room for @p n more words in the current chunk, sealing it and
+     *  opening the next when they do not fit. */
+    std::uint32_t *room(std::size_t n);
+    /** Count the record just appended; on exceeding the budget,
+     *  free the stream and mark the recording overflowed. */
+    void endRecord();
 
-    std::vector<std::uint8_t> bytes;
+    CompiledTrace stream;
     std::uint64_t maxBytes;
+    std::uint64_t words = 0;
     std::uint64_t records = 0;
-    std::uint64_t prev = 0;
     bool overflow = false;
 };
+
+/**
+ * Decode @p trace in record order, calling v.access(addr, write, tag)
+ * for each scalar record and v.translateRun(start, count, stride,
+ * write, tag) for each run record — the Mmu's own entry points, so
+ * replayCompiled() is this loop with the Mmu as the visitor.
+ */
+template <class Visitor>
+void
+visitRecords(const CompiledTrace &trace, Visitor &v)
+{
+    auto wide = [](const std::uint32_t *p) {
+        return std::uint64_t{p[0]} | std::uint64_t{p[1]} << 32;
+    };
+    for (const auto &chunk : trace.chunks) {
+        const std::uint32_t *p = chunk.data();
+        const std::uint32_t *const end = p + chunk.size();
+        while (p < end) {
+            const std::uint32_t w = *p++;
+            const unsigned tag = w & 0x07;
+            const bool write = (w & 0x08) != 0;
+            if ((w & 0x10) == 0) {
+                v.access(std::uint64_t{w >> 5} << 2, write, tag);
+            } else if ((w & 0x20) == 0) {
+                v.access(wide(p), write, tag);
+                p += 2;
+            } else {
+                v.translateRun(wide(p), wide(p + 2), wide(p + 4), write,
+                               tag);
+                p += 6;
+            }
+        }
+    }
+}
 
 /**
  * Feed a recorded stream back through @p mmu — scalar records via
  * access(), run records via translateRun() — reproducing a live
  * kernel execution's counter evolution exactly.
  */
-void replayTrace(const RecordedTrace &trace, tlb::Mmu &mmu);
+void replayCompiled(const CompiledTrace &trace, tlb::Mmu &mmu);
 
-/** @name Compiled replay traces
- * replayTrace() re-decodes the varint byte stream for every config in
- * a sweep. The compiled form decodes each stream ONCE per process into
- * a flat array of fixed-width records that the sweep-replay inner loop
- * dispatches with no per-config decode work, plus software prefetch of
- * upcoming records. The decoded cache lives next to the RecordedTrace
- * cache under the same per-stream maxTraceBytes budget: a stream whose
- * decoded form would exceed it is pinned to the streaming decoder
- * (counted in ReplayStats::compiledOverflows) — correctness never
- * depends on compilation, only the per-config decode cost does.
- * @{ */
-
-/** One decoded record: 24 bytes, dispatch-ready. */
-struct CompiledRecord
-{
-    std::uint64_t addr = 0;
-    std::uint64_t count = 0;  ///< run records only
-    std::uint32_t stride = 0; ///< run records only
-    std::uint8_t tag = 0;
-    std::uint8_t flags = 0; ///< bit 0 write, bit 1 run
-    std::uint16_t pad = 0;
-
-    static constexpr std::uint8_t flagWrite = 0x01;
-    static constexpr std::uint8_t flagRun = 0x02;
-};
-
-/** A stream decoded to fixed-width records. */
-struct CompiledTrace
-{
-    std::vector<CompiledRecord> records;
-
-    std::uint64_t
-    byteSize() const
-    {
-        return records.size() * sizeof(CompiledRecord);
-    }
-};
-
-/**
- * Decode @p trace into fixed-width records (unconditionally — the
- * budget check lives in compiledLookup's caching layer; micro benches
- * and tests use this directly).
- */
-CompiledTrace compileTrace(const RecordedTrace &trace);
-
-/**
- * The decoded form of the stream @p key, compiling @p trace on first
- * use. Returns null — permanently, the key is pinned — when the
- * decoded size exceeds ReplayOptions::maxTraceBytes or a run record's
- * stride does not fit a CompiledRecord; callers then replay the
- * streaming way. Counts compiledHits when served from the cache.
- */
+/** The packed stream of @p trace, shared with no copy. */
 std::shared_ptr<const CompiledTrace>
 compiledLookup(const std::string &key, const RecordedTrace &trace);
 
-/**
- * Dispatch a compiled stream through @p mmu — identical entry-point
- * sequence to replayTrace() on the same stream, so counters are
- * byte-identical between the two decoders (and to the live run).
- */
-void replayCompiled(const CompiledTrace &trace, tlb::Mmu &mmu);
-/** @} */
+/** A private copy of @p trace's packed stream. */
+CompiledTrace compileTrace(const RecordedTrace &trace);
 
 } // namespace gpsm::core
 

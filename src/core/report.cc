@@ -476,7 +476,7 @@ renderSummary(const ReportStore &store)
     if (any_profile) {
         TableWriter prof("Host phase breakdown (wall seconds)");
         prof.setHeader({"run", "build", "load", "kernel", "verify",
-                        "decode", "dispatch", "total"});
+                        "dispatch", "total"});
         for (const ReportEntry &e : store.entries) {
             if (e.profile.empty())
                 continue;
@@ -493,7 +493,6 @@ renderSummary(const ReportStore &store)
                 TableWriter::num(phase("load"), 4),
                 TableWriter::num(phase("kernel"), 4),
                 TableWriter::num(phase("verify"), 4),
-                TableWriter::num(phase("replay_decode"), 4),
                 TableWriter::num(phase("replay_dispatch"), 4),
                 TableWriter::num(total, 4),
             });

@@ -42,7 +42,6 @@ profPhaseName(ProfPhase phase)
       case ProfPhase::Load: return "load";
       case ProfPhase::Kernel: return "kernel";
       case ProfPhase::Verify: return "verify";
-      case ProfPhase::ReplayDecode: return "replay_decode";
       case ProfPhase::ReplayDispatch: return "replay_dispatch";
     }
     return "?";

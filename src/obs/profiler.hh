@@ -29,8 +29,8 @@ namespace gpsm::obs
 
 /**
  * The fixed phase vocabulary. Build/Load/Kernel/Verify partition a
- * live run; ReplayDecode/ReplayDispatch replace Kernel on replayed
- * runs (decode-once trace compilation and the compiled dispatch loop).
+ * live run; ReplayDispatch replaces Kernel on replayed runs (the
+ * recorded stream fed through the MMU).
  */
 enum class ProfPhase : unsigned
 {
@@ -38,11 +38,10 @@ enum class ProfPhase : unsigned
     Load,           ///< machine assembly, aging, view load, khugepaged
     Kernel,         ///< live kernel execution through the MMU
     Verify,         ///< output checksumming
-    ReplayDecode,   ///< varint stream -> compiled fixed-width records
-    ReplayDispatch, ///< compiled-record feed through the MMU
+    ReplayDispatch, ///< recorded-stream feed through the MMU
 };
 
-constexpr std::size_t profPhaseCount = 6;
+constexpr std::size_t profPhaseCount = 5;
 
 const char *profPhaseName(ProfPhase phase);
 

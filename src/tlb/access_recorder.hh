@@ -10,8 +10,9 @@
  * pays one null-pointer test.
  *
  * This header is dependency-free so core/ can implement a recorder
- * without pulling in the whole TLB stack; the replay engine
- * (core::TraceRecorder / core::replayTrace) is the only implementor.
+ * without pulling in the whole TLB stack; the replay engine's
+ * core::TraceRecorder is the only implementor (core::replayCompiled
+ * feeds a recorded stream back through the same Mmu entry points).
  */
 
 #ifndef GPSM_TLB_ACCESS_RECORDER_HH

@@ -118,12 +118,16 @@ struct TraceWorld
     tlb::Mmu mmu;
 };
 
-/** Record a mixed scalar/run stream against @p space's layout. */
+/**
+ * Drive a mixed scalar/run stream through @p w's Mmu with a recorder
+ * attached, as a live kernel would.
+ */
 RecordedTrace
-recordMixedStream(vm::AddressSpace &space)
+recordMixedStream(TraceWorld &w)
 {
-    const Addr a = space.mmap(2_MiB, "arr");
+    const Addr a = w.space.mmap(2_MiB, "arr");
     TraceRecorder rec(1ull << 30);
+    w.mmu.setAccessRecorder(&rec);
     std::uint64_t x = 88172645463325252ull;
     for (int i = 0; i < 20000; ++i) {
         x ^= x << 13;
@@ -131,12 +135,79 @@ recordMixedStream(vm::AddressSpace &space)
         x ^= x << 17;
         const Addr addr = a + (x % (2_MiB / 8)) * 8;
         if (i % 64 == 63)
-            rec.recordRun(addr, 64, 8, false, 3);
+            w.mmu.translateRun(addr, 64, 8, false, 3);
         else
-            rec.recordAccess(addr, (x >> 20) & 1, i & 3);
+            w.mmu.access(addr, (x >> 20) & 1, i & 3);
+    }
+    w.mmu.setAccessRecorder(nullptr);
+    EXPECT_FALSE(rec.overflowed());
+    return rec.take(0, 0);
+}
+
+/** One decoded record, as visitRecords() reports it. */
+struct Rec
+{
+    std::uint64_t addr = 0;
+    std::uint64_t count = 0; ///< 0 for scalar records
+    std::uint64_t stride = 0;
+    bool write = false;
+    unsigned tag = 0;
+
+    bool
+    operator==(const Rec &o) const
+    {
+        return addr == o.addr && count == o.count && stride == o.stride &&
+               write == o.write && tag == o.tag;
+    }
+};
+
+/** Visitor that collects every record it is handed. */
+struct Collector
+{
+    std::vector<Rec> recs;
+
+    void
+    access(std::uint64_t addr, bool write, unsigned tag)
+    {
+        recs.push_back({addr, 0, 0, write, tag});
+    }
+
+    void
+    translateRun(std::uint64_t start, std::uint64_t count,
+                 std::uint64_t stride, bool write, unsigned tag)
+    {
+        recs.push_back({start, count, stride, write, tag});
+    }
+};
+
+/** Record @p want through a TraceRecorder, bypassing any Mmu. */
+RecordedTrace
+recordDirect(const std::vector<Rec> &want)
+{
+    TraceRecorder rec(1ull << 30);
+    for (const Rec &r : want) {
+        if (r.count == 0)
+            rec.recordAccess(r.addr, r.write, r.tag);
+        else
+            rec.recordRun(r.addr, r.count, r.stride, r.write, r.tag);
     }
     EXPECT_FALSE(rec.overflowed());
     return rec.take(0, 0);
+}
+
+std::vector<Rec>
+decode(const RecordedTrace &trace)
+{
+    Collector c;
+    visitRecords(*trace.packed, c);
+    return c.recs;
+}
+
+/** Packed bytes of a one-record stream. */
+std::uint64_t
+bytesOf(const Rec &r)
+{
+    return recordDirect({r}).packed->byteSize();
 }
 
 } // namespace
@@ -259,115 +330,162 @@ TEST(Replay, OverflowPinsConfigLiveAndStaysCorrect)
     EXPECT_EQ(st.fallbacks, 2u);
 }
 
-TEST(Replay, CompiledDispatchMatchesStreamingDecoder)
+TEST(ReplayPacked, RoundTripsEveryFormBoundary)
 {
-    // The compiled fast path must drive the Mmu through the identical
-    // entry-point sequence as the varint streaming decoder: every
-    // counter matches on a randomized mixed scalar/run stream.
-    TraceWorld stream_w;
-    TraceWorld compiled_w;
-    const RecordedTrace trace = recordMixedStream(stream_w.space);
+    // Short words hold 4-aligned addresses below 2^29; everything else
+    // takes the long form, and runs keep 64-bit count and stride.
+    const std::uint64_t lim = 1ull << 29;
+    const std::vector<Rec> want = {
+        {0, 0, 0, false, 0},
+        {lim - 4, 0, 0, true, 7},
+        {lim, 0, 0, false, 5},
+        {0x1001, 0, 0, true, 2},
+        {lim - 2, 0, 0, false, 1},
+        {(1ull << 32) + 8, 0, 0, true, 6},
+        {~0ull - 3, 0, 0, false, 3},
+        {4096, 5, 8, true, 4},
+        {(1ull << 40) + 3, (1ull << 32) + 5, (1ull << 32) + 8, false, 7},
+    };
+    const RecordedTrace trace = recordDirect(want);
+    EXPECT_EQ(trace.records, want.size());
+    EXPECT_TRUE(trace.bytes.empty());
+    EXPECT_EQ(decode(trace), want);
+
+    EXPECT_EQ(bytesOf({0, 0, 0, false, 0}), 4u);
+    EXPECT_EQ(bytesOf({lim - 4, 0, 0, true, 7}), 4u);
+    EXPECT_EQ(bytesOf({lim, 0, 0, false, 0}), 12u);
+    EXPECT_EQ(bytesOf({0x1001, 0, 0, false, 0}), 12u);
+    EXPECT_EQ(bytesOf({1ull << 32, 0, 0, false, 0}), 12u);
+    EXPECT_EQ(bytesOf({4096, 5, 8, false, 0}), 28u);
+}
+
+TEST(ReplayPacked, ByteSizeIsFourBytesPerWord)
+{
+    // 4 per short scalar, 12 per long scalar, 28 per run.
+    std::vector<Rec> want;
+    std::uint64_t shorts = 0, longs = 0, runs = 0;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        if (i % 10 == 9) {
+            want.push_back({i * 64, i + 1, 8, false, 1});
+            ++runs;
+        } else if (i % 10 == 4) {
+            want.push_back({(1ull << 33) + i * 8, 0, 0, true, 2});
+            ++longs;
+        } else {
+            want.push_back({i * 8, 0, 0, false, 0});
+            ++shorts;
+        }
+    }
+    const RecordedTrace trace = recordDirect(want);
+    EXPECT_EQ(trace.packed->byteSize(), 4 * shorts + 12 * longs + 28 * runs);
+    EXPECT_EQ(compiledLookup("k", trace), trace.packed);
+    EXPECT_EQ(compileTrace(trace).byteSize(), trace.packed->byteSize());
+}
+
+TEST(ReplayPacked, MultiWordRecordsNeverStraddleChunks)
+{
+    // A long record that finds two free words in a chunk, and a run
+    // that finds six, each open the next chunk; a long record that
+    // finds exactly three fills its chunk to the last word.
+    const std::size_t cw = CompiledTrace::chunkWords;
+    std::vector<Rec> want;
+    auto shorts = [&](std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i)
+            want.push_back({(i % 4096) * 4, 0, 0, i % 3 == 0,
+                            static_cast<unsigned>(i % 8)});
+    };
+    shorts(cw - 2);
+    want.push_back({1ull << 30, 0, 0, true, 1});
+    shorts(cw - 3 - 6);
+    want.push_back({8192, 1ull << 33, 16, false, 2});
+    shorts(cw - 7 - 3);
+    want.push_back({(1ull << 31) + 1, 0, 0, false, 3});
+    shorts(1);
+
+    const RecordedTrace trace = recordDirect(want);
+    const auto &chunks = trace.packed->chunks;
+    ASSERT_EQ(chunks.size(), 4u);
+    EXPECT_EQ(chunks[0].size(), cw - 2);
+    EXPECT_EQ(chunks[1].size(), cw - 6);
+    EXPECT_EQ(chunks[2].size(), cw);
+    EXPECT_EQ(chunks[3].size(), 1u);
+    EXPECT_EQ(trace.packed->byteSize(), 4 * (3 * cw - 8 + 1));
+    EXPECT_EQ(decode(trace), want);
+}
+
+TEST(ReplayPacked, DispatchMatchesLiveMmuCalls)
+{
+    // Replaying the packed stream on a twin machine drives its Mmu to
+    // the same counters as the live calls that recorded it.
+    TraceWorld live_w;
+    TraceWorld replay_w;
+    const RecordedTrace trace = recordMixedStream(live_w);
     // Identical construction order gives the twin the same layout, so
     // the recorded vaddrs resolve to the same mapping.
-    const Addr b = compiled_w.space.mmap(2_MiB, "arr");
-    (void)b;
+    (void)replay_w.space.mmap(2_MiB, "arr");
+    replayCompiled(*trace.packed, replay_w.mmu);
 
-    replayTrace(trace, stream_w.mmu);
-    const CompiledTrace compiled = compileTrace(trace);
-    EXPECT_EQ(compiled.records.size(), trace.records);
-    replayCompiled(compiled, compiled_w.mmu);
-
-    EXPECT_EQ(stream_w.mmu.accesses.value(),
-              compiled_w.mmu.accesses.value());
-    EXPECT_EQ(stream_w.mmu.dtlbMisses.value(),
-              compiled_w.mmu.dtlbMisses.value());
-    EXPECT_EQ(stream_w.mmu.stlbHits.value(),
-              compiled_w.mmu.stlbHits.value());
-    EXPECT_EQ(stream_w.mmu.walks.value(),
-              compiled_w.mmu.walks.value());
-    EXPECT_EQ(stream_w.mmu.walksBase.value(),
-              compiled_w.mmu.walksBase.value());
-    EXPECT_EQ(stream_w.mmu.walksHuge.value(),
-              compiled_w.mmu.walksHuge.value());
-    EXPECT_EQ(stream_w.mmu.baseCycles.value(),
-              compiled_w.mmu.baseCycles.value());
-    EXPECT_EQ(stream_w.mmu.memoryCycles.value(),
-              compiled_w.mmu.memoryCycles.value());
-    EXPECT_EQ(stream_w.mmu.translationCycles.value(),
-              compiled_w.mmu.translationCycles.value());
-    EXPECT_EQ(stream_w.mmu.faultCycles.value(),
-              compiled_w.mmu.faultCycles.value());
-    EXPECT_EQ(stream_w.mmu.osCycles.value(),
-              compiled_w.mmu.osCycles.value());
-}
-
-TEST(Replay, CompiledCacheDecodesOncePerStream)
-{
-    // Live run, then a sweep of three configs sharing one stream: the
-    // first records, the second decodes (compiled=1), the third is
-    // served from the decoded cache (compiledHits=1) — all
-    // byte-identical to their live twins.
-    ExperimentConfig small = smallConfig();
-    ExperimentConfig big = smallConfig();
-    big.sys.l1Huge.entries *= 4;
-    ExperimentConfig wide = smallConfig();
-    wide.sys.stlbEntries *= 2;
-
-    const RunResult live_small = runExperiment(small);
-    const RunResult live_big = runExperiment(big);
-    const RunResult live_wide = runExperiment(wide);
-
-    ReplayScope scope;
-    const RunResult rec = runExperiment(small);
-    const RunResult rep_big = runExperiment(big);
-    const RunResult rep_wide = runExperiment(wide);
-
-    expectIdentical(rec, live_small);
-    expectIdentical(rep_big, live_big);
-    expectIdentical(rep_wide, live_wide);
-    const ReplayStats st = replayStats();
-    EXPECT_EQ(st.recorded, 1u);
-    EXPECT_EQ(st.replayed, 2u);
-    EXPECT_EQ(st.compiled, 1u);
-    EXPECT_EQ(st.compiledHits, 1u);
-    EXPECT_EQ(st.compiledOverflows, 0u);
-}
-
-TEST(Replay, CompiledBudgetOverflowPinsStreamingDecoder)
-{
-    // A budget below records*24 pins the key to the streaming decoder:
-    // compiledLookup returns null (once decided, cached as null), the
-    // overflow is counted, and the varint replay still reproduces the
-    // stream.
-    TraceWorld w;
-    const RecordedTrace trace = recordMixedStream(w.space);
-
-    ReplayScope scope(/*max_bytes=*/trace.records *
-                          sizeof(CompiledRecord) -
-                      1);
-    EXPECT_EQ(compiledLookup("k", trace), nullptr);
-    EXPECT_EQ(compiledLookup("k", trace), nullptr);
-    ReplayStats st = replayStats();
-    EXPECT_EQ(st.compiled, 0u);
-    EXPECT_EQ(st.compiledHits, 0u);
-    EXPECT_EQ(st.compiledOverflows, 1u);
-
-    replayTrace(trace, w.mmu);
-    EXPECT_EQ(w.mmu.accesses.value(),
+    EXPECT_EQ(trace.records, 20000u);
+    EXPECT_EQ(live_w.mmu.accesses.value(), replay_w.mmu.accesses.value());
+    EXPECT_EQ(live_w.mmu.accesses.value(),
               trace.records + 63 * (trace.records / 64));
+    EXPECT_EQ(live_w.mmu.dtlbMisses.value(),
+              replay_w.mmu.dtlbMisses.value());
+    EXPECT_EQ(live_w.mmu.stlbHits.value(), replay_w.mmu.stlbHits.value());
+    EXPECT_EQ(live_w.mmu.walks.value(), replay_w.mmu.walks.value());
+    EXPECT_EQ(live_w.mmu.walksBase.value(),
+              replay_w.mmu.walksBase.value());
+    EXPECT_EQ(live_w.mmu.walksHuge.value(),
+              replay_w.mmu.walksHuge.value());
+    EXPECT_EQ(live_w.mmu.baseCycles.value(),
+              replay_w.mmu.baseCycles.value());
+    EXPECT_EQ(live_w.mmu.memoryCycles.value(),
+              replay_w.mmu.memoryCycles.value());
+    EXPECT_EQ(live_w.mmu.translationCycles.value(),
+              replay_w.mmu.translationCycles.value());
+    EXPECT_EQ(live_w.mmu.faultCycles.value(),
+              replay_w.mmu.faultCycles.value());
+    EXPECT_EQ(live_w.mmu.osCycles.value(), replay_w.mmu.osCycles.value());
 }
 
-TEST(Replay, CompiledRejectsOversizedRunStride)
+TEST(ReplayPacked, BudgetOverflowFreesStreamAndPinsKeyLive)
 {
-    // A run stride wider than the 32-bit compiled field cannot be
-    // represented: the key is pinned to the streaming decoder rather
-    // than silently truncated.
-    TraceRecorder rec(1ull << 20);
+    // A 64-byte budget holds 16 short words. The 17th overflows: the
+    // recorder frees its partial stream at once, ignores the rest of
+    // the kernel, and the protocol pins the key live.
+    TraceRecorder rec(64);
+    for (int i = 0; i < 16; ++i)
+        rec.recordAccess(4096 + 8 * i, false, 0);
+    EXPECT_FALSE(rec.overflowed());
+    EXPECT_GT(rec.heldBytes(), 0u);
     rec.recordAccess(4096, false, 0);
-    rec.recordRun(8192, 2, (1ull << 32) + 8, false, 1);
-    const RecordedTrace trace = rec.take(0, 0);
+    EXPECT_TRUE(rec.overflowed());
+    EXPECT_EQ(rec.heldBytes(), 0u);
+    rec.recordRun(4096, 8, 8, false, 0);
+    EXPECT_EQ(rec.heldBytes(), 0u);
 
-    ReplayScope scope;
-    EXPECT_EQ(compiledLookup("wide", trace), nullptr);
-    EXPECT_EQ(replayStats().compiledOverflows, 1u);
+    TraceWorld w;
+    const Addr a = w.space.mmap(2_MiB, "arr");
+    const ExperimentConfig cfg = smallConfig();
+    const std::string key = streamFingerprint(cfg);
+    ReplayScope scope(/*max_bytes=*/64);
+    int live_runs = 0;
+    auto live = [&] {
+        ++live_runs;
+        for (int i = 0; i < 17; ++i)
+            w.mmu.access(a + 8 * i, false, 0);
+        return KernelOutcome{7, 9};
+    };
+    const KernelOutcome first = replayOrRun(cfg, w.mmu, live);
+    EXPECT_EQ(first.output, 7u);
+    EXPECT_EQ(replayLookup(key), nullptr);
+    EXPECT_FALSE(replayClaimRecording(key));
+    const KernelOutcome second = replayOrRun(cfg, w.mmu, live);
+    EXPECT_EQ(second.checksum, 9u);
+    EXPECT_EQ(live_runs, 2);
+    const ReplayStats st = replayStats();
+    EXPECT_EQ(st.recorded, 0u);
+    EXPECT_EQ(st.replayed, 0u);
+    EXPECT_EQ(st.fallbacks, 2u);
+    EXPECT_EQ(w.mmu.accesses.value(), 34u);
 }
