@@ -347,9 +347,10 @@ runAll(const std::vector<core::ExperimentConfig> &configs)
     if (gOpts.harness.replay) {
         const core::ReplayStats rs = core::replayStats();
         note("  replay: %llu streams recorded, %llu kernels skipped, "
-             "%llu live fallbacks",
+             "%llu cache outcomes reused, %llu live fallbacks",
              static_cast<unsigned long long>(rs.recorded),
              static_cast<unsigned long long>(rs.replayed),
+             static_cast<unsigned long long>(rs.cacheReused),
              static_cast<unsigned long long>(rs.fallbacks));
     }
     if (failures > 0) {

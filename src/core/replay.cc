@@ -141,6 +141,74 @@ replayAbandon(const std::string &key, bool pin_live)
     }
 }
 
+namespace
+{
+
+/** @p mmu's cache model if a kernel's cache outcome on it is a
+ *  function of the model's start state and the stream alone (a remote
+ *  tier adds per-frame miss penalties), else null. */
+tlb::CacheModel *
+outcomeModel(tlb::Mmu &mmu)
+{
+    return mmu.hasRemoteNode() ? nullptr : mmu.cacheModel();
+}
+
+/** @p model's counters and @p mmu's memoryCycles as totals, in the
+ *  fields a CacheOutcome holds their increments in. */
+CacheOutcome
+cacheTotals(const tlb::Mmu &mmu, const tlb::CacheModel &model)
+{
+    CacheOutcome c;
+    c.accesses = model.accesses.value();
+    c.misses = model.memoryAccesses();
+    for (size_t i = 0; i < model.levels(); ++i)
+        c.hits.push_back(model.hitsAt(i));
+    c.memoryCycles = mmu.memoryCycles.value();
+    return c;
+}
+
+/**
+ * Dispatch @p trace through @p mmu, reusing its CacheOutcome when the
+ * model starts where the recording's did and nothing reads the cache
+ * mid-kernel; @return whether it was reused.
+ */
+bool
+dispatchTrace(const RecordedTrace &trace, tlb::Mmu &mmu)
+{
+    tlb::CacheModel *model = outcomeModel(mmu);
+    if (!trace.cache || model == nullptr || mmu.sampleHookArmed() ||
+        model->digest() != trace.cache->startDigest) {
+        replayCompiled(*trace.packed, mmu);
+        return false;
+    }
+    std::unique_ptr<tlb::CacheModel> detached = mmu.detachCacheModel();
+    try {
+        replayCompiled(*trace.packed, mmu);
+    } catch (...) {
+        mmu.attachCacheModel(std::move(detached));
+        throw;
+    }
+    const CacheOutcome &out = *trace.cache;
+    detached->restoreState(out.end);
+    detached->accesses += out.accesses;
+    detached->misses += out.misses;
+    for (size_t i = 0; i < out.hits.size(); ++i)
+        detached->addHits(i, out.hits[i]);
+    mmu.memoryCycles += out.memoryCycles;
+    mmu.attachCacheModel(std::move(detached));
+    return true;
+}
+
+void
+noteCacheReused()
+{
+    ReplayState &s = state();
+    std::lock_guard<std::mutex> lock(s.mtx);
+    ++s.stats.cacheReused;
+}
+
+} // namespace
+
 KernelOutcome
 replayOrRun(const ExperimentConfig &cfg, tlb::Mmu &mmu,
             const std::function<KernelOutcome()> &live)
@@ -150,7 +218,8 @@ replayOrRun(const ExperimentConfig &cfg, tlb::Mmu &mmu,
     const std::string key = streamFingerprint(cfg);
     if (const auto published = replayLookup(key)) {
         obs::ProfScope prof(obs::ProfPhase::ReplayDispatch);
-        replayCompiled(*published->packed, mmu);
+        if (dispatchTrace(*published, mmu))
+            noteCacheReused();
         return KernelOutcome{published->kernelOutput, published->checksum};
     }
     if (!replayClaimRecording(key)) {
@@ -158,6 +227,10 @@ replayOrRun(const ExperimentConfig &cfg, tlb::Mmu &mmu,
         return live();
     }
 
+    const tlb::CacheModel *model = outcomeModel(mmu);
+    const std::uint64_t start_digest = model ? model->digest() : 0;
+    const CacheOutcome start =
+        model ? cacheTotals(mmu, *model) : CacheOutcome{};
     TraceRecorder recorder(replayOptions().maxTraceBytes);
     mmu.setAccessRecorder(&recorder);
     KernelOutcome out;
@@ -171,10 +244,22 @@ replayOrRun(const ExperimentConfig &cfg, tlb::Mmu &mmu,
     mmu.setAccessRecorder(nullptr);
     if (recorder.overflowed()) {
         replayAbandon(key, /*pin_live=*/true);
-    } else {
-        replayPublish(key, std::make_shared<RecordedTrace>(
-                               recorder.take(out.output, out.checksum)));
+        return out;
     }
+    auto trace = std::make_shared<RecordedTrace>(
+        recorder.take(out.output, out.checksum));
+    if (model) {
+        CacheOutcome delta = cacheTotals(mmu, *model);
+        delta.startDigest = start_digest;
+        delta.end = model->saveState();
+        delta.accesses -= start.accesses;
+        delta.misses -= start.misses;
+        for (size_t i = 0; i < delta.hits.size(); ++i)
+            delta.hits[i] -= start.hits[i];
+        delta.memoryCycles -= start.memoryCycles;
+        trace->cache = std::move(delta);
+    }
+    replayPublish(key, std::move(trace));
     return out;
 }
 

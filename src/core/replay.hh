@@ -25,6 +25,17 @@
  * The fingerprint guard is a whitelist: any config field that could
  * perturb the stream is part of the key, so configs differing in one
  * of them never share a trace and simply fall back to live execution.
+ *
+ * The cache model is virtually indexed and, on a single-node machine,
+ * charges nothing that depends on translation, so its whole kernel-
+ * phase outcome is a function of its state at kernel start and the
+ * stream (whose per-element order translateRun's bulk steps keep).
+ * A recording on such a machine therefore also stores that outcome
+ * (CacheOutcome). A replay reuses it when the machine is single-node,
+ * no sample hook can read cache counters mid-kernel, and the cache
+ * digest at kernel start matches: it dispatches the stream with the
+ * cache model detached, then restores the recorded end state and
+ * adds the recorded counter deltas.
  */
 
 #ifndef GPSM_CORE_REPLAY_HH
@@ -34,10 +45,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "tlb/access_recorder.hh"
+#include "tlb/cache_model.hh"
 
 namespace gpsm::tlb
 {
@@ -67,9 +80,10 @@ const ReplayOptions &replayOptions();
 /** Aggregate record/replay activity (reset by resetReplayCache). */
 struct ReplayStats
 {
-    std::uint64_t recorded = 0;  ///< traces captured and published
-    std::uint64_t replayed = 0;  ///< kernel executions skipped
-    std::uint64_t fallbacks = 0; ///< replay enabled but ran live
+    std::uint64_t recorded = 0;    ///< traces captured and published
+    std::uint64_t replayed = 0;    ///< kernel executions skipped
+    std::uint64_t fallbacks = 0;   ///< replay enabled but ran live
+    std::uint64_t cacheReused = 0; ///< replays that reused a CacheOutcome
 };
 
 ReplayStats replayStats();
@@ -110,6 +124,21 @@ struct CompiledTrace
 };
 
 /**
+ * What a recorded kernel did to the cache model: the model's digest
+ * at kernel start, its state at kernel end, and the increments of its
+ * counters and of Mmu::memoryCycles over the kernel.
+ */
+struct CacheOutcome
+{
+    std::uint64_t startDigest = 0;
+    tlb::CacheModel::State end;
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+    std::vector<std::uint64_t> hits; ///< per level, L1 first
+    std::uint64_t memoryCycles = 0;
+};
+
+/**
  * One recorded kernel-phase stream plus the outputs that cannot be
  * recomputed without re-executing the kernel host-side.
  */
@@ -123,6 +152,9 @@ struct RecordedTrace
     std::uint64_t records = 0;
     std::uint64_t kernelOutput = 0;
     std::uint64_t checksum = 0;
+    /** Set by replayOrRun when recorded on a single-node machine
+     *  with a cache model. */
+    std::optional<CacheOutcome> cache;
 };
 
 /**
@@ -171,11 +203,13 @@ struct KernelOutcome
 /**
  * The kernel phase under the replay protocol. A stream published for
  * @p cfg's streamFingerprint() is fed through @p mmu in place of the
- * kernel and its recorded outputs are returned. Otherwise @p live
+ * kernel, reusing its CacheOutcome where that is exact (see the file
+ * comment), and its recorded outputs are returned. Otherwise @p live
  * runs: behind a TraceRecorder when this run wins the recorder claim,
- * which then publishes the stream, or abandons the claim on overflow
- * (pinning the key live) or on an exception (which propagates). With
- * replay off, @p live just runs.
+ * which then publishes the stream (with its CacheOutcome on a
+ * single-node machine with a cache model), or abandons the claim on
+ * overflow (pinning the key live) or on an exception (which
+ * propagates). With replay off, @p live just runs.
  */
 KernelOutcome replayOrRun(const ExperimentConfig &cfg, tlb::Mmu &mmu,
                           const std::function<KernelOutcome()> &live);

@@ -5,6 +5,8 @@
 
 #include "tlb/cache_model.hh"
 
+#include <algorithm>
+
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -145,6 +147,85 @@ CacheModel::flushAll()
     for (Level &lvl : lvls)
         for (Line &line : lvl.arr)
             line.stamp = 0;
+}
+
+CacheModel::State
+CacheModel::saveState() const
+{
+    State state;
+    state.stampCounter = stampCounter;
+    std::vector<const Line *> valid;
+    for (const Level &lvl : lvls) {
+        state.lines.reserve(state.lines.size() + lvl.arr.size());
+        for (size_t base = 0; base < lvl.arr.size(); base += lvl.cfg.ways) {
+            valid.clear();
+            for (std::uint32_t w = 0; w < lvl.cfg.ways; ++w)
+                if (lvl.arr[base + w].stamp != 0)
+                    valid.push_back(&lvl.arr[base + w]);
+            std::sort(valid.begin(), valid.end(),
+                      [](const Line *a, const Line *b) {
+                          return a->stamp < b->stamp;
+                      });
+            state.lines.insert(state.lines.end(),
+                               lvl.cfg.ways - valid.size(),
+                               State::invalidTag);
+            for (const Line *line : valid)
+                state.lines.push_back(line->tag);
+        }
+    }
+    return state;
+}
+
+void
+CacheModel::restoreState(const State &state)
+{
+    auto next = state.lines.begin();
+    for (Level &lvl : lvls) {
+        GPSM_ASSERT(static_cast<size_t>(state.lines.end() - next) >=
+                        lvl.arr.size(),
+                    "cache state saved from another geometry");
+        for (size_t base = 0; base < lvl.arr.size(); base += lvl.cfg.ways) {
+            std::uint64_t stamp = 0;
+            for (std::uint32_t w = 0; w < lvl.cfg.ways; ++w, ++next) {
+                Line &line = lvl.arr[base + w];
+                line.tag = *next == State::invalidTag ? 0 : *next;
+                line.stamp = *next == State::invalidTag ? 0 : ++stamp;
+            }
+            // Saved stamps were set-unique and at most the counter.
+            GPSM_ASSERT(stamp <= state.stampCounter);
+        }
+    }
+    GPSM_ASSERT(next == state.lines.end(),
+                "cache state saved from another geometry");
+    stampCounter = state.stampCounter;
+    for (Line *&hint : hints)
+        hint = lvls[0].arr.data();
+}
+
+std::uint64_t
+CacheModel::digest() const
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i, v >>= 8) {
+            h ^= v & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(lvls.size());
+    mix(memCycles);
+    mix(stampCounter);
+    for (const Level &lvl : lvls) {
+        mix(lvl.cfg.bytes);
+        mix(lvl.cfg.ways);
+        mix(lvl.cfg.lineBytes);
+        mix(lvl.cfg.hitCycles);
+        for (const Line &line : lvl.arr) {
+            mix(line.tag);
+            mix(line.stamp);
+        }
+    }
+    return h;
 }
 
 void

@@ -93,6 +93,38 @@ class CacheModel
     /** Drop all lines (used between experiment phases). */
     void flushAll();
 
+    /**
+     * Replacement state without placement: per level (L1 first) and
+     * per set, `ways` words holding one invalidTag per invalid way,
+     * then the valid tags oldest first. Victim choice depends only on
+     * the order of stamps within a set, so two models with equal
+     * States agree on every later probe's latency and counters.
+     */
+    struct State
+    {
+        static constexpr std::uint64_t invalidTag = ~std::uint64_t{0};
+
+        std::vector<std::uint64_t> lines;
+        std::uint64_t stampCounter = 0;
+    };
+
+    State saveState() const;
+
+    /**
+     * Load @p state, saved from a model of the same geometry: each
+     * set's valid lines get stamps 1..k in LRU order, and every hint
+     * resets to an L1 line (any L1 line is a safe hint). Counters
+     * are left alone.
+     */
+    void restoreState(const State &state);
+
+    /**
+     * 64-bit FNV-1a over geometry, latencies, stampCounter and every
+     * line: equal digests mean (but for a hash collision) identical
+     * models, which turn one probe stream into one outcome.
+     */
+    std::uint64_t digest() const;
+
     void registerStats(StatSet &stats, const std::string &prefix) const;
 
     size_t levels() const { return lvls.size(); }
@@ -100,6 +132,8 @@ class CacheModel
     {
         return lvls[level].hits.value();
     }
+    /** Count @p n more hits at @p level (a recorded outcome's). */
+    void addHits(size_t level, std::uint64_t n) { lvls[level].hits += n; }
     std::uint64_t memoryAccesses() const { return misses.value(); }
 
     Counter accesses;

@@ -303,7 +303,7 @@ Mmu::registerStats(StatSet &stats, const std::string &prefix) const
                           "compaction/reclaim/swap/shootdown cycles");
     stats.registerCounter(prefix + ".cycles.io", &ioCycles,
                           "input-file staging cycles (load path)");
-    if (remoteFrameBase != mem::invalidFrame) {
+    if (hasRemoteNode()) {
         // Only a two-node machine registers this key, so single-node
         // stat dumps keep their exact pre-NUMA key set.
         stats.registerCounter(prefix + ".remoteAccesses",

@@ -180,6 +180,30 @@ class Mmu
      */
     void setAccessRecorder(AccessRecorder *rec) { recorder = rec; }
 
+    /**
+     * Take the cache model out (null if none): accesses then take the
+     * cache-less path, so a replay that already knows the kernel's
+     * cache outcome (core/replay.hh) skips the probes. Hand it back
+     * with attachCacheModel().
+     */
+    std::unique_ptr<CacheModel> detachCacheModel()
+    {
+        return std::move(cache);
+    }
+    void attachCacheModel(std::unique_ptr<CacheModel> model)
+    {
+        cache = std::move(model);
+    }
+
+    /** True while a sample hook is installed (see setSampleHook). */
+    bool sampleHookArmed() const { return sampleInterval != 0; }
+
+    /** True on a two-node machine, whose remote misses cost extra. */
+    bool hasRemoteNode() const
+    {
+        return remoteFrameBase != mem::invalidFrame;
+    }
+
     /** @name Fault-injection / cancellation hooks @{ */
 
     /** Install (or, with nullptr, remove) the swap-latency scaler. */

@@ -335,6 +335,80 @@ setSpan(const CacheLevelConfig &cfg)
     return cfg.bytes / cfg.ways;
 }
 
+/** One operation of a random tagged stream. */
+struct Op
+{
+    enum Kind { Flush, Run, Access } kind;
+    Addr addr;
+    unsigned tag;
+    std::uint32_t extra;
+    std::size_t stride; ///< Run only
+    std::uint64_t n;    ///< Run only
+};
+
+/**
+ * @p count random operations for geometry @p g: mostly tagged probes,
+ * some strided runs, a rare flush. Half the probes repeat the tag's
+ * previous line, as an array stream does, so the hints are exercised.
+ */
+std::vector<Op>
+randomTaggedOps(const Geometry &g, int count, std::uint64_t seed)
+{
+    // A pool of lines that conflict at every level (strides of the
+    // LLC's and L1's set span over a handful of set indices), with
+    // more lines per conflict group than the largest way count, so
+    // evictions happen at every level.
+    std::vector<Addr> pool;
+    const std::uint64_t max_ways = g.levels.back().ways + 6;
+    for (const std::uint64_t span :
+         {setSpan(g.levels.front()), setSpan(g.levels.back())})
+        for (std::uint64_t c = 0; c < max_ways; ++c)
+            for (const std::uint64_t s : {0u, 1u, 7u})
+                pool.push_back(c * span + s * 64);
+    Rng rng(seed);
+    Addr last[CacheModel::numTags] = {};
+    std::vector<Op> ops;
+    for (int i = 0; i < count; ++i) {
+        Op op{};
+        op.tag = static_cast<unsigned>(rng.below(CacheModel::numTags));
+        const std::uint64_t kind = rng.below(100);
+        const Addr line = rng.below(2) == 0
+                              ? last[op.tag] & ~Addr(63)
+                              : pool[rng.below(pool.size())];
+        op.addr = line + rng.below(64);
+        op.extra = static_cast<std::uint32_t>(rng.below(3)) * 50;
+        if (kind < 1) {
+            op.kind = Op::Flush;
+        } else if (kind < 15) {
+            static const std::size_t strides[] = {4, 8, 24, 64, 200};
+            op.kind = Op::Run;
+            op.stride = strides[rng.below(5)];
+            op.n = 1 + rng.below(40);
+        } else {
+            op.kind = Op::Access;
+        }
+        last[op.tag] = op.addr;
+        ops.push_back(op);
+    }
+    return ops;
+}
+
+/** Apply @p op to @p m; @return its cycles (0 for a flush). */
+std::uint64_t
+apply(CacheModel &m, const Op &op)
+{
+    switch (op.kind) {
+      case Op::Flush:
+        m.flushAll();
+        return 0;
+      case Op::Run:
+        return m.accessRun(op.addr, op.stride, op.n, op.tag, op.extra);
+      case Op::Access:
+        break;
+    }
+    return m.access(op.addr, op.tag, op.extra);
+}
+
 } // namespace
 
 TEST(CacheModelDifferential, RandomTaggedStreams)
@@ -342,41 +416,20 @@ TEST(CacheModelDifferential, RandomTaggedStreams)
     for (const Geometry &g : geometries()) {
         SCOPED_TRACE(g.name);
         Twins t(g);
-        // A pool of lines that conflict at every level (strides of the
-        // LLC's and L1's set span over a handful of set indices), with
-        // more lines per conflict group than the largest way count, so
-        // evictions happen at every level.
-        std::vector<Addr> pool;
-        const std::uint64_t max_ways = g.levels.back().ways + 6;
-        for (const std::uint64_t span :
-             {setSpan(g.levels.front()), setSpan(g.levels.back())})
-            for (std::uint64_t c = 0; c < max_ways; ++c)
-                for (const std::uint64_t s : {0u, 1u, 7u})
-                    pool.push_back(c * span + s * 64);
-        Rng rng(0x5eed ^ g.levels.size());
-        Addr last[CacheModel::numTags] = {};
-        for (int op = 0; op < 20000 && !HasFailure(); ++op) {
-            const unsigned tag =
-                static_cast<unsigned>(rng.below(CacheModel::numTags));
-            const std::uint64_t kind = rng.below(100);
-            // Half the probes repeat the tag's previous line, as an
-            // array stream does, so the hints are exercised.
-            const Addr line = rng.below(2) == 0
-                                  ? last[tag] & ~Addr(63)
-                                  : pool[rng.below(pool.size())];
-            const Addr addr = line + rng.below(64);
-            const std::uint32_t extra =
-                static_cast<std::uint32_t>(rng.below(3)) * 50;
-            if (kind < 1) {
+        for (const Op &op : randomTaggedOps(g, 20000, 0x5eed ^ g.levels.size())) {
+            if (HasFailure())
+                break;
+            switch (op.kind) {
+              case Op::Flush:
                 t.flushAll();
-            } else if (kind < 15) {
-                static const std::size_t strides[] = {4, 8, 24, 64, 200};
-                t.accessRun(addr, strides[rng.below(5)],
-                            1 + rng.below(40), tag, extra);
-            } else {
-                t.access(addr, tag, extra);
+                break;
+              case Op::Run:
+                t.accessRun(op.addr, op.stride, op.n, op.tag, op.extra);
+                break;
+              case Op::Access:
+                t.access(op.addr, op.tag, op.extra);
+                break;
             }
-            last[tag] = addr;
         }
         EXPECT_GT(t.model.hitsAt(0), 0u);
         EXPECT_GT(t.model.memoryAccesses(), 0u);
@@ -439,4 +492,62 @@ TEST(CacheModelDifferential, FlushInvalidatesHints)
     // here: block 0 must miss.
     t.access(0x0, 7);
     EXPECT_EQ(t.model.memoryAccesses(), 4u);
+}
+
+TEST(CacheModelState, RestoredModelTracksTheOriginal)
+{
+    // Save a warmed model in LRU order, restore it into a fresh one
+    // (whose ways, stamps and hints all differ from the original's),
+    // carry the counters over, then drive both with the same stream.
+    for (const Geometry &g : geometries()) {
+        SCOPED_TRACE(g.name);
+        CacheModel orig(g.levels, g.memoryCycles);
+        for (const Op &op : randomTaggedOps(g, 20000, 0xace))
+            apply(orig, op);
+        const CacheModel::State saved = orig.saveState();
+        ASSERT_GT(saved.stampCounter, 0u);
+
+        CacheModel copy(g.levels, g.memoryCycles);
+        copy.restoreState(saved);
+        EXPECT_TRUE(copy.saveState().lines == saved.lines);
+        EXPECT_EQ(copy.saveState().stampCounter, saved.stampCounter);
+        copy.accesses += orig.accesses.value();
+        copy.misses += orig.misses.value();
+        for (size_t i = 0; i < g.levels.size(); ++i)
+            copy.addHits(i, orig.hitsAt(i));
+
+        int op_index = 0;
+        for (const Op &op : randomTaggedOps(g, 20000, 0x5eed ^ g.levels.size())) {
+            ASSERT_EQ(apply(orig, op), apply(copy, op)) << "op " << op_index;
+            ASSERT_EQ(orig.accesses.value(), copy.accesses.value());
+            ASSERT_EQ(orig.memoryAccesses(), copy.memoryAccesses());
+            for (size_t i = 0; i < g.levels.size(); ++i)
+                ASSERT_EQ(orig.hitsAt(i), copy.hitsAt(i)) << "level " << i;
+            ++op_index;
+        }
+        EXPECT_TRUE(copy.saveState().lines == orig.saveState().lines);
+    }
+}
+
+TEST(CacheModelState, DigestCoversGeometryAndEveryLine)
+{
+    const Geometry g = geometries()[0];
+    CacheModel a(g.levels, g.memoryCycles);
+    CacheModel b(g.levels, g.memoryCycles);
+    EXPECT_EQ(a.digest(), b.digest());
+    a.access(0x1000, 0);
+    b.access(0x1000, 1); // the tag selects only a hint
+    EXPECT_EQ(a.digest(), b.digest());
+    b.access(0x2000, 0);
+    EXPECT_NE(a.digest(), b.digest());
+
+    CacheModel slower(g.levels, g.memoryCycles + 1);
+    slower.access(0x1000, 0);
+    EXPECT_NE(a.digest(), slower.digest());
+    std::vector<CacheLevelConfig> wider = g.levels;
+    wider[1].ways *= 2;
+    wider[1].bytes *= 2;
+    CacheModel other(wider, g.memoryCycles);
+    other.access(0x1000, 0);
+    EXPECT_NE(a.digest(), other.digest());
 }

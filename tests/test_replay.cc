@@ -7,8 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+
 #include "core/experiment.hh"
+#include "core/kernels.hh"
+#include "core/machine.hh"
 #include "core/replay.hh"
+#include "core/views.hh"
+#include "graph/datasets.hh"
 #include "mem/memory_node.hh"
 #include "mem/swap_device.hh"
 #include "tlb/mmu.hh"
@@ -203,6 +210,76 @@ decode(const RecordedTrace &trace)
     return c.recs;
 }
 
+/**
+ * A BFS view loaded on a fresh machine, ready for the kernel phase:
+ * the part of runExperiment these tests need to reach the machine's
+ * StatSet and cache model around replayOrRun.
+ */
+struct KernelRig
+{
+    KernelRig(const ExperimentConfig &config, const graph::CsrGraph &graph,
+              const vm::ThpConfig &thp = vm::ThpConfig::always())
+        : cfg(config), g(graph), machine(config.sys, thp),
+          view(machine, graph, SimView<std::uint64_t>::Options{})
+    {
+        view.load(unreachedDist);
+    }
+
+    /** The kernel phase as runExperiment's kernel stage runs it. */
+    KernelOutcome
+    run()
+    {
+        return replayOrRun(cfg, machine.mmu(), [&] {
+            return KernelOutcome{bfs(view, defaultRoot(g)),
+                                 propChecksum(view.propRaw())};
+        });
+    }
+
+    std::map<std::string, std::uint64_t>
+    stats()
+    {
+        return machine.stats().snapshot();
+    }
+
+    tlb::CacheModel::State
+    cacheState()
+    {
+        return machine.mmu().cacheModel()->saveState();
+    }
+
+    const ExperimentConfig &cfg;
+    const graph::CsrGraph &g;
+    SimMachine machine;
+    SimView<std::uint64_t> view;
+};
+
+/** The kron graph smallConfig() runs on. */
+const graph::CsrGraph &
+smallGraph()
+{
+    static const graph::CsrGraph g = graph::makeDataset(
+        graph::datasetByName("kron"), 512, /*weighted=*/false, 1);
+    return g;
+}
+
+/** Every counter, the kernel outcome and the final cache state. */
+void
+expectSameMachine(KernelRig &want, const KernelOutcome &want_out,
+                  KernelRig &got, const KernelOutcome &got_out)
+{
+    EXPECT_EQ(want_out.output, got_out.output);
+    EXPECT_EQ(want_out.checksum, got_out.checksum);
+    EXPECT_EQ(want.stats(), got.stats());
+    if (want.machine.mmu().cacheModel() == nullptr) {
+        EXPECT_EQ(got.machine.mmu().cacheModel(), nullptr);
+        return;
+    }
+    const tlb::CacheModel::State a = want.cacheState();
+    const tlb::CacheModel::State b = got.cacheState();
+    EXPECT_EQ(a.stampCounter, b.stampCounter);
+    EXPECT_TRUE(a.lines == b.lines);
+}
+
 /** Packed bytes of a one-record stream. */
 std::uint64_t
 bytesOf(const Rec &r)
@@ -235,6 +312,8 @@ TEST(Replay, ReplayedRunIsByteIdenticalAcrossTlbSweep)
     EXPECT_EQ(st.recorded, 1u);
     EXPECT_EQ(st.replayed, 1u);
     EXPECT_EQ(st.fallbacks, 0u);
+    // A TLB sweep leaves the cache's start state alone.
+    EXPECT_EQ(st.cacheReused, 1u);
 }
 
 TEST(Replay, ReplayCoversThpPolicyAndPressure)
@@ -268,6 +347,7 @@ TEST(Replay, ReplayCoversThpPolicyAndPressure)
     const ReplayStats st = replayStats();
     EXPECT_EQ(st.recorded, 1u);
     EXPECT_EQ(st.replayed, 2u);
+    EXPECT_EQ(st.cacheReused, 2u);
     // The tight run must actually have exercised the pressure
     // machinery under replay, not just matched an idle baseline.
     EXPECT_GT(live_tight.compactionRuns + live_tight.swapOuts, 0u);
@@ -307,6 +387,7 @@ TEST(Replay, FingerprintSeparatesStreamPerturbingConfigs)
     expectIdentical(rd, runExperiment(d));
     EXPECT_EQ(replayStats().recorded, 2u);
     EXPECT_EQ(replayStats().replayed, 2u);
+    EXPECT_EQ(replayStats().cacheReused, 2u);
 }
 
 TEST(Replay, OverflowPinsConfigLiveAndStaysCorrect)
@@ -326,8 +407,138 @@ TEST(Replay, OverflowPinsConfigLiveAndStaysCorrect)
     const ReplayStats st = replayStats();
     EXPECT_EQ(st.recorded, 0u);
     EXPECT_EQ(st.replayed, 0u);
+    EXPECT_EQ(st.cacheReused, 0u);
     // First run overflowed (pinned); the second saw the pin.
     EXPECT_EQ(st.fallbacks, 2u);
+}
+
+TEST(ReplayCache, ReusedOutcomeMatchesLiveCountersAndCacheState)
+{
+    // Recorded under THP never, replayed under THP always: the TLB
+    // side differs, the cache outcome is reused, and every StatSet
+    // counter (cache.* included) and the final cache state match a
+    // live run.
+    const ExperimentConfig cfg = smallConfig();
+    KernelRig live(cfg, smallGraph());
+    const KernelOutcome live_out = live.run();
+
+    ReplayScope scope;
+    KernelRig rec(cfg, smallGraph(), vm::ThpConfig::never());
+    rec.run();
+    KernelRig rep(cfg, smallGraph());
+    const KernelOutcome rep_out = rep.run();
+
+    expectSameMachine(live, live_out, rep, rep_out);
+    EXPECT_GT(live.stats().at("cache.memoryAccesses"), 0u);
+    EXPECT_NE(live.stats().at("mmu.walks"),
+              rec.stats().at("mmu.walks"));
+    const ReplayStats st = replayStats();
+    EXPECT_EQ(st.recorded, 1u);
+    EXPECT_EQ(st.replayed, 1u);
+    EXPECT_EQ(st.cacheReused, 1u);
+}
+
+TEST(ReplayCache, TwoNodeMachineDispatchesEveryProbe)
+{
+    // A single-node recording's outcome omits the remote miss
+    // penalty, so a two-node replay must probe the cache itself.
+    ExperimentConfig two = smallConfig();
+    two.sys.enableSecondNode();
+    two.sys.numaPlacement = NumaPlacement::Interleave;
+    KernelRig live(two, smallGraph());
+    const KernelOutcome live_out = live.run();
+
+    ReplayScope scope;
+    const ExperimentConfig one = smallConfig();
+    KernelRig rec(one, smallGraph());
+    rec.run();
+    KernelRig rep(two, smallGraph());
+    const KernelOutcome rep_out = rep.run();
+
+    expectSameMachine(live, live_out, rep, rep_out);
+    EXPECT_GT(live.stats().at("mmu.remoteAccesses"), 0u);
+    EXPECT_EQ(replayStats().replayed, 1u);
+    EXPECT_EQ(replayStats().cacheReused, 0u);
+}
+
+TEST(ReplayCache, ArmedSampleHookSeesEveryProbe)
+{
+    // A sample hook (telemetry, an event subscriber) reads cache
+    // counters mid-kernel, so each epoch must see them as live.
+    const ExperimentConfig cfg = smallConfig();
+    const auto arm = [](KernelRig &r, std::vector<std::uint64_t> &seen) {
+        r.machine.mmu().setSampleHook(4096, [&r, &seen] {
+            seen.push_back(r.machine.stats().value("cache.accesses"));
+        });
+    };
+    KernelRig live(cfg, smallGraph());
+    std::vector<std::uint64_t> live_seen;
+    arm(live, live_seen);
+    const KernelOutcome live_out = live.run();
+
+    ReplayScope scope;
+    KernelRig rec(cfg, smallGraph());
+    rec.run();
+    KernelRig rep(cfg, smallGraph());
+    std::vector<std::uint64_t> rep_seen;
+    arm(rep, rep_seen);
+    const KernelOutcome rep_out = rep.run();
+
+    expectSameMachine(live, live_out, rep, rep_out);
+    EXPECT_GT(live_seen.size(), 10u);
+    EXPECT_EQ(live_seen, rep_seen);
+    EXPECT_EQ(replayStats().cacheReused, 0u);
+}
+
+TEST(ReplayCache, OtherCacheGeometryMissesTheDigest)
+{
+    // Cache geometry is not in the stream key: the stream replays,
+    // but the start digest differs, so the cache is probed live.
+    ExperimentConfig big = smallConfig();
+    big.sys.cacheLevels[1].bytes *= 2;
+    EXPECT_EQ(streamFingerprint(big), streamFingerprint(smallConfig()));
+    KernelRig live(big, smallGraph());
+    const KernelOutcome live_out = live.run();
+
+    ReplayScope scope;
+    const ExperimentConfig cfg = smallConfig();
+    KernelRig rec(cfg, smallGraph());
+    rec.run();
+    KernelRig rep(big, smallGraph());
+    const KernelOutcome rep_out = rep.run();
+
+    expectSameMachine(live, live_out, rep, rep_out);
+    EXPECT_EQ(replayStats().replayed, 1u);
+    EXPECT_EQ(replayStats().cacheReused, 0u);
+}
+
+TEST(ReplayCache, CancelMidReplayReattachesTheModel)
+{
+    // A cancel thrown while the model is detached must hand it back;
+    // the next replay reuses the outcome and matches live.
+    const ExperimentConfig cfg = smallConfig();
+    KernelRig live(cfg, smallGraph());
+    const KernelOutcome live_out = live.run();
+
+    ReplayScope scope;
+    KernelRig rec(cfg, smallGraph());
+    rec.run();
+
+    KernelRig cancelled(cfg, smallGraph());
+    std::atomic<bool> cancel{false};
+    tlb::Mmu &mmu = cancelled.machine.mmu();
+    mmu.setCancelFlag(&cancel);
+    mmu.setPeriodicHook(10000, [&cancel] { cancel = true; });
+    const std::uint64_t before = mmu.accesses.value();
+    EXPECT_THROW(cancelled.run(), CancelledError);
+    EXPECT_GT(mmu.accesses.value(), before + 10000);
+    EXPECT_NE(mmu.cacheModel(), nullptr);
+    EXPECT_EQ(replayStats().cacheReused, 0u);
+
+    KernelRig rep(cfg, smallGraph());
+    const KernelOutcome rep_out = rep.run();
+    expectSameMachine(live, live_out, rep, rep_out);
+    EXPECT_EQ(replayStats().cacheReused, 1u);
 }
 
 TEST(ReplayPacked, RoundTripsEveryFormBoundary)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -547,8 +548,8 @@ TEST(Profiler, OffProfilerScopesAreInertAndFoldNothing)
     obs::profBeginRun();
     {
         obs::ProfScope scope(obs::ProfPhase::Kernel);
-        volatile int sink = 0;
-        for (int i = 0; i < 100000; ++i)
+        volatile std::uint64_t sink = 0;
+        for (std::uint64_t i = 0; i < 100000; ++i)
             sink = sink + i;
     }
     const obs::PhaseBreakdown run = obs::profEndRun();
