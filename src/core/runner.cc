@@ -13,6 +13,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "core/journal.hh"
@@ -100,8 +101,17 @@ struct MemoCache
         lruOrder.push_front(key);
         results.emplace(key, Entry{result, lruOrder.begin()});
         bytes += entryBytes(key);
-        // Never evict the entry just inserted: the cap bounds steady-
-        // state growth, it must not make a single result uncacheable.
+        evictPastCap();
+    }
+
+    /**
+     * Drop least-recently-used entries until the cap holds. Never
+     * evicts the last entry: the cap bounds steady-state growth, it
+     * must not make a single result uncacheable. Caller holds mtx.
+     */
+    void
+    evictPastCap()
+    {
         while (capBytes != 0 && bytes > capBytes &&
                results.size() > 1) {
             const std::string &victim = lruOrder.back();
@@ -156,6 +166,33 @@ prefetchPending(const std::vector<ExperimentConfig> &pending,
     return stats;
 }
 
+bool
+interrupted(const RunGuard &guard)
+{
+    return guard.interrupt != nullptr &&
+           guard.interrupt->load(std::memory_order_relaxed);
+}
+
+/**
+ * Sleep out the backoff before retry @p attempt (1-based, so the
+ * first retry waits the base), in small slices so an interrupt does
+ * not wait it out.
+ */
+void
+backoff(const RunGuard &guard, unsigned attempt)
+{
+    double delay = guard.backoffBaseSeconds;
+    for (unsigned i = 1; i < attempt && delay < guard.backoffCapSeconds;
+         ++i)
+        delay *= 2.0;
+    delay = std::min(delay, guard.backoffCapSeconds);
+    if (delay <= 0.0)
+        return;
+    const auto until = util::deadlineFor(delay);
+    while (std::chrono::steady_clock::now() < until && !interrupted(guard))
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+}
+
 } // namespace
 
 MemoStats
@@ -185,14 +222,7 @@ setExperimentMemoCapBytes(std::uint64_t bytes)
     m.capBytes = bytes;
     // Apply the new cap immediately (shrinking caps evict now, not at
     // the next insert).
-    while (m.capBytes != 0 && m.bytes > m.capBytes &&
-           m.results.size() > 1) {
-        const std::string &victim = m.lruOrder.back();
-        m.bytes -= MemoCache::entryBytes(victim);
-        m.results.erase(victim);
-        m.lruOrder.pop_back();
-        ++m.evictions;
-    }
+    m.evictPastCap();
 }
 
 bool
@@ -300,77 +330,75 @@ experimentErrorKindName(ExperimentError::Kind kind)
     return "?";
 }
 
+RunOutcome
+runGuarded(const ExperimentConfig &config, const RunGuard &guard)
+{
+    RunOutcome outcome;
+    auto fail = [&](ExperimentError::Kind kind, std::string message) {
+        outcome.error = ExperimentError{kind, std::move(message),
+                                        config.fingerprint(),
+                                        config.label()};
+        return outcome;
+    };
+    util::DeadlineWatchdog::Flag flag;
+    if (guard.watchdog != nullptr)
+        flag = std::make_shared<std::atomic<bool>>(false);
+
+    for (;;) {
+        // Interrupted work stops launching: a config that is not
+        // already served from memory or disk is reported, not run.
+        if (interrupted(guard) && !memoHas(config.fingerprint()))
+            return fail(ExperimentError::Kind::Interrupted,
+                        "interrupted before execution");
+        ++outcome.attempts;
+        const auto start = std::chrono::steady_clock::now();
+        if (flag != nullptr) {
+            flag->store(false, std::memory_order_relaxed);
+            guard.watchdog->watch(
+                flag, util::deadlineFor(guard.deadlineSeconds));
+        }
+        bool cancelled = false;
+        std::string thrown;
+        try {
+            outcome.result =
+                runMemoized(config, &outcome.cached, flag.get());
+        } catch (const CancelledError &) {
+            cancelled = true;
+        } catch (const std::exception &e) {
+            thrown = e.what();
+        }
+        if (flag != nullptr)
+            guard.watchdog->unwatch(flag);
+        if (outcome.ok()) {
+            outcome.wallSeconds =
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+            return outcome;
+        }
+        if (!cancelled)
+            return fail(ExperimentError::Kind::Exception, thrown);
+        if (interrupted(guard))
+            return fail(ExperimentError::Kind::Interrupted,
+                        "interrupted mid-run (result discarded; "
+                        "journal already holds every completed "
+                        "experiment)");
+        if (outcome.attempts > guard.timeoutRetries) {
+            std::ostringstream msg;
+            msg << "exceeded " << guard.deadlineSeconds
+                << "s wall-clock budget";
+            if (outcome.attempts > 1)
+                msg << " (" << outcome.attempts << " attempts)";
+            return fail(ExperimentError::Kind::Timeout, msg.str());
+        }
+        backoff(guard, outcome.attempts);
+    }
+}
+
 ExperimentPool::ExperimentPool(unsigned jobs)
 {
     const unsigned hw = util::ThreadPool::hardwareThreads();
     jobCount = jobs == 0 ? hw : std::min(jobs, hw);
-}
-
-std::vector<RunResult>
-ExperimentPool::run(const std::vector<ExperimentConfig> &configs,
-                    const Progress &progress)
-{
-    std::vector<RunResult> results(configs.size());
-
-    // Group the batch by fingerprint: one execution per unique
-    // config, every duplicate index filled from the representative.
-    struct Group
-    {
-        std::vector<std::size_t> indices;
-    };
-    std::unordered_map<std::string, Group> groups;
-    std::vector<std::string> order; // deterministic submission order
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const std::string key = configs[i].fingerprint();
-        auto [it, inserted] = groups.try_emplace(key);
-        if (inserted)
-            order.push_back(key);
-        it->second.indices.push_back(i);
-    }
-
-    if (jobCount > 1) {
-        std::vector<ExperimentConfig> pending;
-        for (const std::string &key : order) {
-            if (!memoHas(key))
-                pending.push_back(
-                    configs[groups.at(key).indices.front()]);
-        }
-        prefetchPending(pending, jobCount);
-    }
-
-    auto run_one = [&](const std::string &key) {
-        const Group &group = groups.at(key);
-        const std::size_t rep = group.indices.front();
-        const auto start = std::chrono::steady_clock::now();
-        bool cached = false;
-        const RunResult result = runMemoized(configs[rep], &cached);
-        const double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        for (std::size_t idx : group.indices)
-            results[idx] = result;
-        if (progress) {
-            for (std::size_t idx : group.indices)
-                progress(idx, configs[idx], result,
-                         idx == rep && !cached ? wall : 0.0,
-                         cached || idx != rep);
-        }
-    };
-
-    if (jobCount <= 1 || order.size() <= 1) {
-        for (const std::string &key : order)
-            run_one(key);
-        return results;
-    }
-
-    util::ThreadPool pool(
-        std::min<unsigned>(jobCount,
-                           static_cast<unsigned>(order.size())));
-    for (const std::string &key : order)
-        pool.submit([&run_one, &key] { run_one(key); });
-    pool.wait();
-    return results;
 }
 
 std::vector<RunOutcome>
@@ -380,18 +408,16 @@ ExperimentPool::runOutcomes(const std::vector<ExperimentConfig> &configs,
 {
     std::vector<RunOutcome> outcomes(configs.size());
 
-    struct Group
-    {
-        std::vector<std::size_t> indices;
-    };
-    std::unordered_map<std::string, Group> groups;
-    std::vector<std::string> order;
+    // Group the batch by fingerprint: one execution per unique
+    // config, every duplicate index filled from the representative.
+    std::unordered_map<std::string, std::vector<std::size_t>> groups;
+    std::vector<std::string> order; // deterministic submission order
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const std::string key = configs[i].fingerprint();
         auto [it, inserted] = groups.try_emplace(key);
         if (inserted)
             order.push_back(key);
-        it->second.indices.push_back(i);
+        it->second.push_back(i);
     }
 
     if (options.prefetchStats != nullptr)
@@ -400,8 +426,7 @@ ExperimentPool::runOutcomes(const std::vector<ExperimentConfig> &configs,
         std::vector<ExperimentConfig> pending;
         for (const std::string &key : order) {
             if (!memoHas(key))
-                pending.push_back(
-                    configs[groups.at(key).indices.front()]);
+                pending.push_back(configs[groups.at(key).front()]);
         }
         const PrefetchStats stats =
             prefetchPending(pending, jobCount);
@@ -409,134 +434,32 @@ ExperimentPool::runOutcomes(const std::vector<ExperimentConfig> &configs,
             *options.prefetchStats = stats;
     }
 
-    const bool timed = options.timeoutSeconds > 0.0;
-    // Cancellation flags are live when either a timeout watchdog or a
-    // batch interrupt switch is in play; the same scanner serves both.
-    const bool guarded = timed || options.interrupt != nullptr;
+    RunGuard guard;
+    guard.deadlineSeconds = options.timeoutSeconds;
+    guard.timeoutRetries = options.timeoutRetries;
+    guard.interrupt = options.interrupt;
+    // One scanner serves the timeout and the interrupt switch; an
+    // unguarded batch creates none.
     std::unique_ptr<util::DeadlineWatchdog> watchdog;
-    if (guarded)
+    if (options.timeoutSeconds > 0.0 || options.interrupt != nullptr) {
         watchdog =
             std::make_unique<util::DeadlineWatchdog>(options.interrupt);
+        guard.watchdog = watchdog.get();
+    }
 
-    auto interrupted = [&] {
-        return options.interrupt != nullptr &&
-               options.interrupt->load(std::memory_order_relaxed);
-    };
-
-    // ThreadPool jobs must not throw (they would terminate the
-    // process), so every failure mode is converted to an
-    // ExperimentError inside the job.
     auto run_one = [&](const std::string &key) {
-        const Group &group = groups.at(key);
-        const std::size_t rep = group.indices.front();
-        RunOutcome outcome;
-        double wall = 0.0;
-        bool cached = false;
-        unsigned attempts = 0;
-
-        // An interrupted batch stops launching work: a config that is
-        // not already served from memory or disk is reported, not run.
-        if (interrupted() && !memoHas(key)) {
-            ExperimentError err;
-            err.kind = ExperimentError::Kind::Interrupted;
-            err.message = "batch interrupted before execution";
-            err.fingerprint = key;
-            err.label = configs[rep].label();
-            err.attempts = 0;
-            outcome.error = std::move(err);
-            for (std::size_t idx : group.indices)
-                outcomes[idx] = outcome;
-            if (options.errorProgress) {
-                for (std::size_t idx : group.indices)
-                    options.errorProgress(idx, configs[idx],
-                                          *outcome.error);
-            }
-            return;
-        }
-
-        for (;;) {
-            ++attempts;
-            auto flag = std::make_shared<std::atomic<bool>>(false);
-            const auto start = std::chrono::steady_clock::now();
-            if (guarded) {
-                watchdog->watch(
-                    flag,
-                    timed
-                        ? start +
-                              std::chrono::duration_cast<
-                                  std::chrono::steady_clock::duration>(
-                                  std::chrono::duration<double>(
-                                      options.timeoutSeconds))
-                        : std::chrono::steady_clock::time_point::max());
-            }
-            try {
-                cached = false;
-                const RunResult result = runMemoized(
-                    configs[rep], &cached,
-                    guarded ? flag.get() : nullptr);
-                if (guarded)
-                    watchdog->unwatch(flag);
-                wall = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-                outcome.result = result;
-                break;
-            } catch (const CancelledError &) {
-                if (guarded)
-                    watchdog->unwatch(flag);
-                if (interrupted()) {
-                    ExperimentError err;
-                    err.kind = ExperimentError::Kind::Interrupted;
-                    err.message = "interrupted mid-run (result "
-                                  "discarded; journal already holds "
-                                  "every completed experiment)";
-                    err.fingerprint = key;
-                    err.label = configs[rep].label();
-                    err.attempts = attempts;
-                    outcome.error = std::move(err);
-                    break;
-                }
-                if (attempts <= options.timeoutRetries)
-                    continue; // transient overrun: grant another try
-                ExperimentError err;
-                err.kind = ExperimentError::Kind::Timeout;
-                std::ostringstream msg;
-                msg << "exceeded " << options.timeoutSeconds
-                    << "s wall-clock budget";
-                if (attempts > 1)
-                    msg << " (" << attempts << " attempts)";
-                err.message = msg.str();
-                err.fingerprint = key;
-                err.label = configs[rep].label();
-                err.attempts = attempts;
-                outcome.error = std::move(err);
-                break;
-            } catch (const std::exception &e) {
-                if (guarded)
-                    watchdog->unwatch(flag);
-                ExperimentError err;
-                err.kind = ExperimentError::Kind::Exception;
-                err.message = e.what();
-                err.fingerprint = key;
-                err.label = configs[rep].label();
-                err.attempts = attempts;
-                outcome.error = std::move(err);
-                break;
-            }
-        }
-
-        for (std::size_t idx : group.indices)
-            outcomes[idx] = outcome;
-        if (progress && outcome.ok()) {
-            for (std::size_t idx : group.indices)
-                progress(idx, configs[idx], *outcome.result,
-                         idx == rep && !cached ? wall : 0.0,
-                         cached || idx != rep);
-        }
-        if (options.errorProgress && !outcome.ok()) {
-            for (std::size_t idx : group.indices)
-                options.errorProgress(idx, configs[idx],
-                                      *outcome.error);
+        const std::vector<std::size_t> &group = groups.at(key);
+        const std::size_t rep = group.front();
+        const RunOutcome outcome = runGuarded(configs[rep], guard);
+        for (std::size_t idx : group) {
+            RunOutcome &out = outcomes[idx];
+            out = outcome;
+            out.cached = outcome.cached || (out.ok() && idx != rep);
+            if (out.ok() && progress)
+                progress(idx, configs[idx], *out.result,
+                         out.cached ? 0.0 : out.wallSeconds, out.cached);
+            if (!out.ok() && options.errorProgress)
+                options.errorProgress(idx, configs[idx], *out.error);
         }
     };
 

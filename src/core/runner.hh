@@ -1,8 +1,12 @@
 /**
  * @file
  * Parallel experiment engine: batch execution of independent
- * ExperimentConfigs on a worker pool, with a process-wide memo cache
- * keyed by ExperimentConfig::fingerprint().
+ * ExperimentConfigs on a worker pool (ExperimentPool::runOutcomes),
+ * with a process-wide memo cache keyed by
+ * ExperimentConfig::fingerprint(). Every execution, batch or served
+ * (serve::Server), goes through runGuarded(): the one loop that
+ * applies a deadline, timeout retries and an interrupt switch to a
+ * single config.
  *
  * Every runExperiment() call is deterministic and fully independent
  * (each run builds its own SimMachine; all RNG is config-seeded), so
@@ -23,6 +27,11 @@
 #include <vector>
 
 #include "core/experiment.hh"
+
+namespace gpsm::util
+{
+class DeadlineWatchdog;
+}
 
 namespace gpsm::core
 {
@@ -126,7 +135,6 @@ struct ExperimentError
     std::string message;
     std::string fingerprint;
     std::string label;
-    unsigned attempts = 1; ///< executions including retries
 };
 
 const char *experimentErrorKindName(ExperimentError::Kind kind);
@@ -136,9 +144,48 @@ struct RunOutcome
 {
     std::optional<RunResult> result;
     std::optional<ExperimentError> error;
+    bool cached = false;       ///< memo, journal or batch duplicate
+    double wallSeconds = 0.0;  ///< host seconds of the last attempt
+    unsigned attempts = 0;     ///< executions including retries
 
     bool ok() const { return result.has_value(); }
 };
+
+/** What runGuarded() guards one run with. */
+struct RunGuard
+{
+    /** Wall-clock budget of each attempt, seconds; 0 = none. */
+    double deadlineSeconds = 0.0;
+    /**
+     * Extra executions granted after a timeout before giving up
+     * (transient interference — a loaded machine — can make a healthy
+     * config overrun once). Exceptions never retry: a deterministic
+     * throw would just throw again.
+     */
+    unsigned timeoutRetries = 0;
+    /** Sleep before retry k: min(base * 2^(k-1), cap); 0 = none. */
+    double backoffBaseSeconds = 0.0;
+    double backoffCapSeconds = 0.0;
+    /**
+     * Interrupt switch (the watchdog's own). Once set, the run in
+     * flight is cancelled and reported Interrupted, a backoff stops
+     * early, and a config that is not memoized or journaled is
+     * reported without executing.
+     */
+    const std::atomic<bool> *interrupt = nullptr;
+    /** Enforces the deadline and the interrupt; null = unguarded. */
+    util::DeadlineWatchdog *watchdog = nullptr;
+};
+
+/**
+ * Run @p config through runMemoized() under @p guard and report the
+ * outcome; never throws. A cancelled attempt becomes an
+ * Interrupted error when the interrupt is set, a retry while retries
+ * remain, and a Timeout error after that; any other exception is an
+ * Exception error.
+ */
+RunOutcome runGuarded(const ExperimentConfig &config,
+                      const RunGuard &guard);
 
 /** What the batch's dataset-prefetch stage did (wall time only ever
  *  reported out-of-band: simulated results are unaffected). */
@@ -159,12 +206,7 @@ struct PoolOptions
      */
     double timeoutSeconds = 0.0;
 
-    /**
-     * Extra executions granted after a timeout before giving up
-     * (transient interference — a loaded CI machine — can make a
-     * healthy config overrun once). Exceptions never retry: a
-     * deterministic throw would just throw again.
-     */
+    /** RunGuard::timeoutRetries; the pool retries without backoff. */
     unsigned timeoutRetries = 0;
 
     /**
@@ -181,12 +223,9 @@ struct PoolOptions
 
     /**
      * Optional batch-wide interrupt switch (typically set from a
-     * SIGINT/SIGTERM handler). Once it reads true, in-flight
-     * experiments are cooperatively cancelled, and configs that have
-     * not started (and are not already memoized or journaled) are
-     * reported as Interrupted errors instead of executing — so an
-     * interrupted batch still returns a complete outcome vector and
-     * every finished result has already been journaled.
+     * SIGINT/SIGTERM handler), RunGuard::interrupt for every config:
+     * an interrupted batch still returns a complete outcome vector
+     * and every finished result has already been journaled.
      */
     const std::atomic<bool> *interrupt = nullptr;
 
@@ -206,8 +245,8 @@ struct PoolOptions
  * Runs batches of experiments on min(jobs, hardware threads) worker
  * threads, deduplicating identical configs through the memo cache.
  *
- * Determinism: results are returned in submission order and each
- * worker owns its SimMachine, so run(configs) is bit-for-bit
+ * Determinism: outcomes are returned in submission order and each
+ * worker owns its SimMachine, so runOutcomes(configs) is bit-for-bit
  * identical to a serial loop over runExperiment() (asserted by
  * tests/test_runner.cc).
  */
@@ -226,18 +265,13 @@ class ExperimentPool
      *  effective count is clamped to the hardware thread count. */
     explicit ExperimentPool(unsigned jobs = 0);
 
-    /** Run every config, in parallel, memoized; results come back in
-     *  submission order. */
-    std::vector<RunResult>
-    run(const std::vector<ExperimentConfig> &configs,
-        const Progress &progress = nullptr);
-
     /**
-     * Hardened variant of run(): every config gets an outcome, never
-     * an exception. A config that throws or times out yields an
-     * ExperimentError carrying its fingerprint; every other config
-     * still yields its RunResult. Duplicate configs share one
-     * execution (and one error).
+     * Run every config, in parallel, memoized, each through
+     * runGuarded(); outcomes come back in submission order. Every
+     * config gets an outcome, never an exception: a config that
+     * throws or times out yields an ExperimentError carrying its
+     * fingerprint; every other config still yields its RunResult.
+     * Duplicate configs share one execution (and one error).
      */
     std::vector<RunOutcome>
     runOutcomes(const std::vector<ExperimentConfig> &configs,

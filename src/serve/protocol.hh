@@ -46,10 +46,14 @@
  * side does not serialize) into a loud per-request error instead of a
  * wrong memo key.
  *
- * Error kinds in responses: "timeout", "exception", "interrupted"
- * (the pool's vocabulary), plus service-level "overloaded" (queue
- * full, request shed), "shutdown" (daemon draining), and "invalid"
- * (malformed request or codec mismatch).
+ * Error kinds in responses: a run's execution errors are the pool's
+ * core::experimentErrorKindName() vocabulary — "timeout",
+ * "exception", "interrupted" (a run cancelled in flight by a hard
+ * stop) — since runs go through core::runGuarded. Service-level kinds
+ * are "overloaded" (queue full, request shed), "shutdown" (only a
+ * request rejected while the daemon drains, or a sleep cancelled by
+ * a hard stop), and "invalid" (malformed request or codec
+ * mismatch).
  */
 
 #ifndef GPSM_SERVE_PROTOCOL_HH

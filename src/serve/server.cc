@@ -21,30 +21,6 @@
 namespace gpsm::serve
 {
 
-namespace
-{
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-std::chrono::steady_clock::time_point
-deadlineFor(double seconds)
-{
-    if (seconds <= 0.0)
-        return std::chrono::steady_clock::time_point::max();
-    return std::chrono::steady_clock::now() +
-           std::chrono::duration_cast<
-               std::chrono::steady_clock::duration>(
-               std::chrono::duration<double>(seconds));
-}
-
-} // namespace
-
 obs::Json
 statsToJson(const ServeStats &s)
 {
@@ -711,7 +687,7 @@ Server::executeTask(const TaskPtr &task)
     if (task->kind == Task::Kind::Sleep) {
         const util::DeadlineWatchdog::Flag flag =
             std::make_shared<std::atomic<bool>>(false);
-        watchdog->watch(flag, deadlineFor(task->deadlineSeconds));
+        watchdog->watch(flag, util::deadlineFor(task->deadlineSeconds));
         const auto end =
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double>(
@@ -742,107 +718,56 @@ Server::executeTask(const TaskPtr &task)
         return;
     }
 
-    const util::DeadlineWatchdog::Flag flag =
-        std::make_shared<std::atomic<bool>>(false);
-    std::string err_kind;
-    std::string err_msg;
-    core::RunResult result;
-    bool cached = false;
-    double wall = 0.0;
-    unsigned attempts = 0;
-    for (unsigned attempt = 0;; ++attempt) {
-        flag->store(false, std::memory_order_relaxed);
-        watchdog->watch(flag, deadlineFor(task->deadlineSeconds));
-        const auto t0 = Clock::now();
-        try {
-            result =
-                core::runMemoized(task->config, &cached, flag.get());
-            watchdog->unwatch(flag);
-            ++attempts;
-            wall = secondsSince(t0);
-            ok = true;
-            break;
-        } catch (const CancelledError &) {
-            watchdog->unwatch(flag);
-            ++attempts;
-            if (hardStop.load()) {
-                err_kind = "shutdown";
-                err_msg = "daemon stopping; request cancelled "
-                          "(journal holds every completed result)";
-                break;
-            }
-            if (attempt < task->retries) {
-                {
-                    std::lock_guard<std::mutex> lock(queueMtx);
-                    ++retryCount;
-                }
-                // Exponential backoff before the retry, in small
-                // slices so a shutdown does not wait it out.
-                double delay = opts.backoffBaseSeconds;
-                for (unsigned i = 0; i < attempt; ++i)
-                    delay *= 2.0;
-                delay = std::min(delay, opts.backoffCapSeconds);
-                const auto until =
-                    Clock::now() +
-                    std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(delay));
-                while (Clock::now() < until && !hardStop.load())
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(10));
-                continue;
-            }
-            err_kind = "timeout";
-            err_msg = "deadline exceeded after " +
-                      std::to_string(attempts) + " attempt(s)";
-            break;
-        } catch (const std::exception &e) {
-            watchdog->unwatch(flag);
-            ++attempts;
-            err_kind = "exception";
-            err_msg = e.what();
-            break;
+    core::RunGuard guard;
+    guard.deadlineSeconds = task->deadlineSeconds;
+    guard.timeoutRetries = task->retries;
+    guard.backoffBaseSeconds = opts.backoffBaseSeconds;
+    guard.backoffCapSeconds = opts.backoffCapSeconds;
+    guard.interrupt = &hardStop;
+    guard.watchdog = watchdog.get();
+    const core::RunOutcome out = core::runGuarded(task->config, guard);
+    ok = out.ok();
+    {
+        std::lock_guard<std::mutex> lock(queueMtx);
+        retryCount += out.attempts > 1 ? out.attempts - 1 : 0;
+        if (out.cached) {
+            ++cacheHitCount;
+        } else if (ok) {
+            // Phase attribution for the metrics exporter: simulated
+            // seconds actually spent executing (cached replays cost
+            // nothing).
+            initSecondsTotal += out.result->initSeconds;
+            kernelSecondsTotal += out.result->kernelSeconds;
         }
     }
 
     resp.set("op", obs::Json("run"));
+    resp.set("status", obs::Json(ok ? "ok" : "error"));
+    resp.set("run", obs::Json(task->run));
     if (ok) {
-        resp.set("status", obs::Json("ok"));
-        resp.set("run", obs::Json(task->run));
         resp.set("fingerprint", obs::Json(task->fingerprint));
         resp.set("label", obs::Json(task->config.label()));
-        resp.set("cached", obs::Json(cached));
-        resp.set("wallSeconds", obs::Json(wall));
-        resp.set("attempts", obs::Json(std::uint64_t(attempts)));
+        resp.set("cached", obs::Json(out.cached));
+        resp.set("wallSeconds", obs::Json(out.wallSeconds));
+        resp.set("attempts", obs::Json(std::uint64_t(out.attempts)));
         resp.set("result",
-                 obs::Json(core::serializeRunResult(result)));
-        if (cached) {
-            std::lock_guard<std::mutex> lock(queueMtx);
-            ++cacheHitCount;
-        } else {
-            // Phase attribution for the metrics exporter: simulated
-            // seconds actually spent executing (cached replays cost
-            // nothing).
-            std::lock_guard<std::mutex> lock(queueMtx);
-            initSecondsTotal += result.initSeconds;
-            kernelSecondsTotal += result.kernelSeconds;
-        }
+                 obs::Json(core::serializeRunResult(*out.result)));
     } else {
-        resp.set("status", obs::Json("error"));
-        resp.set("run", obs::Json(task->run));
-        resp.set("kind", obs::Json(err_kind));
-        resp.set("message", obs::Json(err_msg));
+        resp.set("kind",
+                 obs::Json(core::experimentErrorKindName(out.error->kind)));
+        resp.set("message", obs::Json(out.error->message));
         resp.set("fingerprint", obs::Json(task->fingerprint));
-        resp.set("attempts", obs::Json(std::uint64_t(attempts)));
+        resp.set("attempts", obs::Json(std::uint64_t(out.attempts)));
     }
     finishTask(task, resp, ok);
     if (obs::eventStreamActive()) {
         obs::Json extra = obs::Json::object();
         extra.set("status", obs::Json(ok ? "ok" : "error"));
         if (ok) {
-            extra.set("cached", obs::Json(cached));
-            extra.set("wallSeconds", obs::Json(wall));
+            extra.set("cached", obs::Json(out.cached));
+            extra.set("wallSeconds", obs::Json(out.wallSeconds));
         } else {
-            extra.set("kind", obs::Json(err_kind));
+            extra.set("kind", *resp.find("kind"));
         }
         publishRequestEvent("request_done", task->run, "run",
                             &extra);

@@ -7,9 +7,12 @@
  * - admission control: a bounded request queue; a request that would
  *   overflow it is shed with an explicit "overloaded" error instead
  *   of queuing unboundedly, and a draining daemon rejects new work
- *   with "shutdown". Per-request deadlines ride the shared
- *   util::DeadlineWatchdog, and timed-out runs get bounded retries
- *   with exponential backoff.
+ *   with "shutdown". A run executes through core::runGuarded (the
+ *   batch engine's guarded run) on the daemon's
+ *   util::DeadlineWatchdog: per-request deadlines, bounded retries
+ *   with exponential backoff, and the pool's error kinds
+ *   ("timeout", "exception", "interrupted"); "shutdown" is left for
+ *   admission while draining and for sleeps.
  * - dedup & recovery: concurrent requests for the same
  *   ExperimentConfig::fingerprint() are single-flighted — later
  *   arrivals attach as waiters to the in-flight task and share its
@@ -25,7 +28,8 @@
  *   and the journal. The destructor without drain() hard-cancels
  *   in-flight runs via the watchdog's interrupt switch.
  *
- * Invariant (asserted by tests/test_serve.cc and the CI smoke job):
+ * Invariant (asserted by tests/test_serve.cc and the
+ * serve.offline_identity ctest):
  * a result produced through the service is byte-identical — same
  * fingerprint, same serialized RunResult — to the same config run
  * offline through gpsm_run.

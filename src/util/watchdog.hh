@@ -78,6 +78,18 @@ class DeadlineWatchdog
     std::thread scanner;
 };
 
+/** The time point @p seconds from now; Clock::time_point::max()
+ *  (interrupt-only) when @p seconds <= 0. */
+inline DeadlineWatchdog::Clock::time_point
+deadlineFor(double seconds)
+{
+    using Clock = DeadlineWatchdog::Clock;
+    if (seconds <= 0.0)
+        return Clock::time_point::max();
+    return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(seconds));
+}
+
 } // namespace gpsm::util
 
 #endif // GPSM_UTIL_WATCHDOG_HH

@@ -3,19 +3,24 @@
  * Hardened-engine tests: a batch must survive a poisoned config (every
  * other config still yields its result, the failure is reported per
  * fingerprint), the wall-clock watchdog must convert runaway runs into
- * structured Timeout errors with bounded retries, and the PR-1
- * oversubscription clamp must keep fully hog-starved runs alive.
+ * structured Timeout errors with bounded retries and backoff that an
+ * interrupt cuts short, and the oversubscription clamp must keep
+ * fully hog-starved runs alive.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/runner.hh"
 #include "util/units.hh"
+#include "util/watchdog.hh"
 
 using namespace gpsm;
 using namespace gpsm::core;
@@ -35,6 +40,14 @@ smallConfig(App app = App::Bfs, const std::string &dataset = "kron")
     cfg.sys.node.bytes = 96_MiB;
     cfg.sys.node.hugeWatermarkBytes = 96_MiB / 26;
     return cfg;
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
 }
 
 } // namespace
@@ -60,7 +73,7 @@ TEST(Outcome, PoisonedConfigDoesNotSinkTheBatch)
     EXPECT_EQ(err.fingerprint, configs[1].fingerprint());
     EXPECT_EQ(err.label, configs[1].label());
     EXPECT_FALSE(err.message.empty());
-    EXPECT_EQ(err.attempts, 1u);
+    EXPECT_EQ(out[1].attempts, 1u);
 
     // The survivors are real results, identical to direct execution.
     const RunResult direct = runExperiment(configs[0]);
@@ -98,7 +111,7 @@ TEST(Outcome, WatchdogTimesOutWithBoundedRetries)
     ASSERT_FALSE(out[0].ok());
     const ExperimentError &err = *out[0].error;
     EXPECT_EQ(err.kind, ExperimentError::Kind::Timeout);
-    EXPECT_EQ(err.attempts, 2u); // original + one retry
+    EXPECT_EQ(out[0].attempts, 2u); // original + one retry
     EXPECT_EQ(err.fingerprint, cfg.fingerprint());
     EXPECT_NE(err.message.find("wall-clock"), std::string::npos);
 
@@ -108,6 +121,59 @@ TEST(Outcome, WatchdogTimesOutWithBoundedRetries)
     const std::vector<RunOutcome> ok = pool.runOutcomes({cfg});
     ASSERT_TRUE(ok[0].ok());
     EXPECT_EQ(ok[0].result->checksum, runExperiment(cfg).checksum);
+}
+
+TEST(Outcome, GuardedRunBacksOffBetweenRetries)
+{
+    clearExperimentMemo();
+    std::atomic<bool> interrupt{false};
+    util::DeadlineWatchdog watchdog(&interrupt);
+    RunGuard guard;
+    guard.deadlineSeconds = 1e-4; // expires at the watchdog's first scan
+    guard.timeoutRetries = 2;
+    guard.backoffBaseSeconds = 0.5;
+    guard.backoffCapSeconds = 10.0;
+    guard.interrupt = &interrupt;
+    guard.watchdog = &watchdog;
+
+    const auto start = std::chrono::steady_clock::now();
+    const RunOutcome out = runGuarded(smallConfig(App::Pr), guard);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.error->kind, ExperimentError::Kind::Timeout);
+    EXPECT_EQ(out.attempts, 3u);
+    EXPECT_NE(out.error->message.find("(3 attempts)"), std::string::npos);
+    // Backoff before retry 1 is the base, before retry 2 twice it.
+    EXPECT_GE(secondsSince(start), 0.5 + 2 * 0.5);
+}
+
+TEST(Outcome, InterruptCutsBackoffShortWithoutExecuting)
+{
+    clearExperimentMemo();
+    std::atomic<bool> interrupt{false};
+    util::DeadlineWatchdog watchdog(&interrupt);
+    RunGuard guard;
+    guard.deadlineSeconds = 1e-4;
+    guard.timeoutRetries = 5;
+    guard.backoffBaseSeconds = 20.0; // the first attempt times out
+    guard.backoffCapSeconds = 60.0;  // long before the interrupt lands
+    guard.interrupt = &interrupt;
+    guard.watchdog = &watchdog;
+
+    const std::uint64_t misses = experimentMemoStats().misses;
+    const auto start = std::chrono::steady_clock::now();
+    std::thread stopper([&interrupt] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+        interrupt.store(true);
+    });
+    const RunOutcome out = runGuarded(smallConfig(App::Pr), guard);
+    const double elapsed = secondsSince(start);
+    stopper.join();
+
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.error->kind, ExperimentError::Kind::Interrupted);
+    EXPECT_EQ(out.attempts, 1u); // no execution after the backoff
+    EXPECT_EQ(experimentMemoStats().misses, misses);
+    EXPECT_LT(elapsed, 10.0); // well before the 20 s backoff
 }
 
 TEST(Outcome, GenerousBudgetDoesNotTrigger)

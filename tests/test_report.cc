@@ -278,9 +278,11 @@ TEST(Report, PrefetchDatasetsWarmsWithoutChangingResults)
     const RunResult direct = runExperiment(configs[0]);
     clearExperimentMemo();
     ExperimentPool pool(2);
-    const std::vector<RunResult> batch = pool.run(configs);
+    const std::vector<RunOutcome> batch = pool.runOutcomes(configs);
     ASSERT_EQ(batch.size(), configs.size());
-    EXPECT_EQ(batch[0].checksum, direct.checksum);
-    EXPECT_EQ(batch[0].accesses, direct.accesses);
-    EXPECT_EQ(batch[2].checksum, direct.checksum);
+    for (const RunOutcome &o : batch)
+        ASSERT_TRUE(o.ok());
+    EXPECT_EQ(batch[0].result->checksum, direct.checksum);
+    EXPECT_EQ(batch[0].result->accesses, direct.accesses);
+    EXPECT_EQ(batch[2].result->checksum, direct.checksum);
 }

@@ -89,12 +89,13 @@ TEST(Runner, ParallelMatchesSerialBitIdentical)
     ExperimentPool pool(4);
     EXPECT_GE(pool.jobs(), 1u);
     EXPECT_LE(pool.jobs(), 4u);
-    const std::vector<RunResult> parallel = pool.run(configs);
+    const std::vector<RunOutcome> parallel = pool.runOutcomes(configs);
 
     ASSERT_EQ(parallel.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE(configs[i].label());
-        expectIdentical(serial[i], parallel[i]);
+        ASSERT_TRUE(parallel[i].ok());
+        expectIdentical(serial[i], *parallel[i].result);
     }
 }
 
@@ -123,12 +124,14 @@ TEST(Runner, MemoCacheSkipsReExecution)
     // copies cost at most one additional execution (zero here, since
     // the memo already holds the result).
     ExperimentPool pool(2);
-    const std::vector<RunResult> batch =
-        pool.run({cfg, cfg, cfg, cfg});
+    const std::vector<RunOutcome> batch =
+        pool.runOutcomes({cfg, cfg, cfg, cfg});
     stats = experimentMemoStats();
     EXPECT_EQ(stats.misses, 1u);
-    for (const RunResult &r : batch)
-        expectIdentical(first, r);
+    for (const RunOutcome &o : batch) {
+        ASSERT_TRUE(o.ok());
+        expectIdentical(first, *o.result);
+    }
 }
 
 TEST(Runner, FingerprintDistinguishesLabelOmittedFields)

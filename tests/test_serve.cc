@@ -5,9 +5,10 @@
  * produce results byte-identical to offline execution; admission
  * control must shed deterministically when the queue is full and
  * enforce per-request deadlines with bounded retries; duplicate
- * in-flight requests must single-flight; a drained daemon must finish
- * admitted work; and a journal-backed daemon must resume completed
- * work across a restart without re-executing it.
+ * in-flight requests must single-flight; a hard-stopped daemon must
+ * answer its run in flight as interrupted; a drained daemon must
+ * finish admitted work; and a journal-backed daemon must resume
+ * completed work across a restart without re-executing it.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -338,7 +340,7 @@ TEST(Serve, DeadlineTimesOutAndRetriesAreBounded)
     TestServer ts(opts);
     ASSERT_TRUE(ts.started);
 
-    // A sleep can never finish inside a 1ms deadline; with 2 retries
+    // A run can never finish inside a 1ms deadline; with 2 retries
     // the daemon executes it exactly 3 times before reporting timeout.
     Client c;
     ASSERT_TRUE(c.connect(ts.server.options().socketPath));
@@ -352,6 +354,37 @@ TEST(Serve, DeadlineTimesOutAndRetriesAreBounded)
     EXPECT_EQ(resp->find("kind")->asString(), "timeout");
     EXPECT_EQ(resp->find("attempts")->asNumber(), 3.0);
     EXPECT_EQ(ts.server.stats().retries, 2u);
+}
+
+TEST(Serve, HardStopInterruptsRunInFlight)
+{
+    clearExperimentMemo();
+    ServeOptions opts = serveOptions("hardstop");
+    opts.workers = 1;
+    auto ts = std::make_unique<TestServer>(opts);
+    ASSERT_TRUE(ts->started);
+
+    // PageRank that never converges: in flight far longer than the
+    // test waits.
+    ExperimentConfig cfg = smallConfig(App::Pr);
+    cfg.prMaxIters = 1000000;
+    cfg.prEpsilon = 0.0;
+    Client c;
+    ASSERT_TRUE(c.connect(ts->server.options().socketPath));
+    ASSERT_TRUE(c.send(makeRunRequest(6, cfg)));
+    ASSERT_TRUE(waitForStats(ts->server, [](const ServeStats &s) {
+        return s.inFlight == 1;
+    }));
+
+    // Destroying an undrained server hard-stops it: the run in flight
+    // is cancelled and answered before the connection closes, with
+    // the pool's error vocabulary.
+    ts.reset();
+    const auto resp = c.recv(60.0);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->find("id")->asNumber(), 6.0);
+    EXPECT_EQ(resp->find("status")->asString(), "error");
+    EXPECT_EQ(resp->find("kind")->asString(), "interrupted");
 }
 
 TEST(Serve, DrainFinishesAdmittedWork)

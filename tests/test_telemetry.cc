@@ -278,15 +278,15 @@ TEST(Telemetry, MetricsDirIdenticalAtAnyJobsLevel)
     {
         ScopedTelemetry scoped(dir1);
         clearExperimentMemo(); // force execution: cached runs skip export
-        ExperimentPool pool(1);
-        pool.run(configs);
+        for (const RunOutcome &o : ExperimentPool(1).runOutcomes(configs))
+            ASSERT_TRUE(o.ok());
     }
     const std::string dir4 = freshDir("gpsm_test_jobs4");
     {
         ScopedTelemetry scoped(dir4);
         clearExperimentMemo();
-        ExperimentPool pool(4);
-        pool.run(configs);
+        for (const RunOutcome &o : ExperimentPool(4).runOutcomes(configs))
+            ASSERT_TRUE(o.ok());
     }
 
     const auto files1 = dirContents(dir1);

@@ -240,7 +240,7 @@ try {
                      "  fingerprint: %s\n",
                      experimentErrorKindName(err.kind),
                      err.label.c_str(), err.message.c_str(),
-                     err.attempts, err.fingerprint.c_str());
+                     outcomes[i].attempts, err.fingerprint.c_str());
     }
     if (g_interrupted.load()) {
         const JournalStats js = resultJournalStats();
