@@ -688,6 +688,7 @@ try {
         return 1;
     }
     return 0;
-} catch (const FatalError &) {
-    return 1; // fatal() has printed the message
+} catch (const FatalError &e) {
+    reportFatal(e);
+    return 1;
 }

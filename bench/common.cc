@@ -77,8 +77,9 @@ skipHarnessFlag(int argc, char **argv, int &i)
 try {
     Options ignored;
     return parseBenchFlag(argc, argv, i, ignored);
-} catch (const FatalError &) {
-    std::exit(1); // fatal() has printed the message
+} catch (const FatalError &e) {
+    reportFatal(e);
+    std::exit(1);
 }
 
 Options
@@ -128,8 +129,9 @@ try {
              opts.shard, opts.shards);
     }
     return opts;
-} catch (const FatalError &) {
-    std::exit(1); // fatal() has printed the message
+} catch (const FatalError &e) {
+    reportFatal(e);
+    std::exit(1);
 }
 
 std::int64_t
@@ -198,8 +200,9 @@ run(const core::ExperimentConfig &cfg)
     core::RunResult res;
     try {
         res = core::runMemoized(cfg, &cached);
-    } catch (const FatalError &) {
-        std::exit(1); // fatal() has printed the message
+    } catch (const FatalError &e) {
+        reportFatal(e);
+        std::exit(1);
     }
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)

@@ -150,10 +150,11 @@ class TimeSeriesSampler
 };
 
 /**
- * Discrete-event recorder: the TraceHook implementation installed
- * into the address space, memory node and fault session while a
- * telemetry session is live. Events are stamped with the simulated
- * access clock and capped (counted past the cap, not kept).
+ * Discrete-event recorder: the TraceHook a live telemetry session
+ * attaches to the machine's TraceFanout, which forwards the events of
+ * the address space, memory nodes and fault session. Events are
+ * stamped with the simulated access clock and capped (counted past the
+ * cap, not kept).
  */
 class TraceSink final : public TraceHook
 {

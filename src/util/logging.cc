@@ -62,8 +62,13 @@ fatal(const char *fmt, ...)
     va_start(ap, fmt);
     std::string msg = detail::vformat(fmt, ap);
     va_end(ap);
-    detail::emit("fatal", msg);
     throw FatalError(msg);
+}
+
+void
+reportFatal(const FatalError &e)
+{
+    detail::emit("fatal", e.what());
 }
 
 void

@@ -6,7 +6,10 @@
  * violations (a library bug), fatal() is for user errors (bad
  * configuration or arguments), warn()/inform() are non-fatal status
  * channels. All messages go to stderr so table output on stdout stays
- * machine-parseable.
+ * machine-parseable. fatal() itself prints nothing: the one catch that
+ * ends the process prints the error with reportFatal(), so an error a
+ * caller handles (a failed config in a batch, an invalid request) never
+ * shows as a `fatal:` line.
  */
 
 #ifndef GPSM_UTIL_LOGGING_HH
@@ -64,13 +67,17 @@ void emit(const char *prefix, const std::string &msg);
 } // namespace detail
 
 /**
- * Report a condition caused by the user (bad configuration, invalid
- * arguments) and abort the current operation by throwing FatalError.
+ * Abort the current operation on a condition caused by the user (bad
+ * configuration, invalid arguments) by throwing FatalError. Prints
+ * nothing; see reportFatal().
  *
  * @param fmt printf-style format string.
  */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/** Print "fatal: <what>" to stderr: the exit path of a front end. */
+void reportFatal(const FatalError &e);
 
 /**
  * Report an internal invariant violation (a gpsm bug) and throw

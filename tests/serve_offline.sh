@@ -1,6 +1,6 @@
 #!/bin/sh
 # Served results are the offline results, end to end over the real
-# daemon. Two scenarios:
+# daemon. Three scenarios:
 #
 # 1. Sharded concurrent submit: two submit processes share one client
 #    journal (exercising the per-append flock), and the union of their
@@ -12,6 +12,12 @@
 #    finishes byte-identical to offline. A resubmit against the
 #    restarted daemon executes nothing: every result is served from
 #    the journal.
+# 3. Dormancy and journal compaction: scenario 1's daemon, which had
+#    no event subscriber, left a journal whose records are
+#    byte-identical to the offline run's. Compaction sorts by
+#    fingerprint, so after compacting both journals `cmp` is an exact
+#    byte diff. A daemon restarted on the compacted journal serves the
+#    whole batch from cache.
 #
 # Sockets and journals live in a per-PID directory, so parallel runs
 # cannot collide.
@@ -117,4 +123,30 @@ grep -q "6 served from cache" "$dir/resubmit.log" || {
 }
 "$serve" --drain --socket "$sock" || status=1
 wait $dpid || { echo "FAIL: restarted daemon exit"; status=1; }
+
+# 3. Scenario 1's daemon ran with no event subscriber: its journal,
+#    compacted, is the offline one byte for byte, and still serves.
+sock=$dir/compact.sock
+batch="--app bfs,pr,cc --dataset kron,wiki --divisor 4096"
+for journal in daemon offline; do
+    "$serve" --compact-journal "$dir/$journal.gpsmj" || status=1
+done
+cmp "$dir/daemon.gpsmj" "$dir/offline.gpsmj" || {
+    echo "FAIL: compacted daemon journal differs from offline"
+    status=1
+}
+"$serve" --socket "$sock" --journal "$dir/daemon.gpsmj" --workers 2 &
+dpid=$!
+# shellcheck disable=SC2086
+"$serve" --submit --socket "$sock" $batch --connections 2 \
+    --out-journal "$dir/compact_client.gpsmj" 2> "$dir/compact.log" ||
+    status=1
+grep -q "6 served from cache" "$dir/compact.log" || {
+    echo "FAIL: the compacted journal did not serve the batch"
+    cat "$dir/compact.log"
+    status=1
+}
+diff_both "$dir/offline.gpsmj" "$dir/compact_client.gpsmj"
+"$serve" --drain --socket "$sock" || status=1
+wait $dpid || { echo "FAIL: compacted daemon exit"; status=1; }
 exit $status

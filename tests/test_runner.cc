@@ -3,7 +3,9 @@
  * Tests for the parallel experiment engine (core/runner.hh): the pool
  * must reproduce serial execution bit for bit, the memo cache must
  * return identical results without re-executing, and the fingerprint
- * must distinguish configs that label() conflates.
+ * must distinguish configs that label() conflates. Combined modes
+ * (two nodes, out-of-core, a fault plan) stay deterministic across
+ * worker counts and replay.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +13,8 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/metrics.hh"
+#include "core/replay.hh"
 #include "core/runner.hh"
 #include "util/units.hh"
 
@@ -246,4 +250,65 @@ TEST(Runner, InterruptFlagShortCircuitsBatch)
     ASSERT_FALSE(resumed[1].ok());
     EXPECT_EQ(resumed[1].error->kind,
               ExperimentError::Kind::Interrupted);
+}
+
+TEST(Runner, CombinedModesMatchAcrossJobsAndReplay)
+{
+    // NUMA x out-of-core x fault plan x replay x --jobs in one batch.
+    // The batch sweeps thpMode, which is not in streamFingerprint, so
+    // with replay on the second config replays the first one's stream.
+    // Every outcome must be byte-identical at 1 and 4 workers, live
+    // and replayed.
+    ExperimentConfig base = smallConfig();
+    base.sys.enableSecondNode(64_MiB);
+    base.sys.numaPlacement = NumaPlacement::Interleave;
+    base.oocRatio = 2.0;
+    fault::FaultEvent veto; // huge allocations fail until the kernel
+    veto.endAnchor = fault::FaultAnchor::KernelStart;
+    veto.endAt = 0;
+    fault::FaultEvent arrive;
+    arrive.kind = fault::FaultKind::MemhogArrive;
+    arrive.anchor = fault::FaultAnchor::KernelStart;
+    arrive.bytes = 8_MiB;
+    fault::FaultEvent depart;
+    depart.kind = fault::FaultKind::MemhogDepart;
+    depart.anchor = fault::FaultAnchor::KernelStart;
+    depart.at = 1u << 16;
+    base.faultPlan.events = {veto, arrive, depart};
+
+    std::vector<ExperimentConfig> configs;
+    for (vm::ThpMode thp : {vm::ThpMode::Never, vm::ThpMode::Always}) {
+        ExperimentConfig cfg = base;
+        cfg.thpMode = thp;
+        configs.push_back(cfg);
+    }
+    ASSERT_EQ(streamFingerprint(configs[0]), streamFingerprint(configs[1]));
+
+    const auto batch = [&](unsigned jobs, bool replay) {
+        clearExperimentMemo(); // results must come from execution
+        resetReplayCache();
+        ReplayOptions opts;
+        opts.enabled = replay;
+        setReplay(opts);
+        std::vector<std::string> docs;
+        for (const RunOutcome &o : ExperimentPool(jobs).runOutcomes(configs)) {
+            if (!o.ok())
+                return std::vector<std::string>{o.error->message};
+            // Every mode is armed: the file cache pages, the plan fires.
+            EXPECT_GT(o.result->fileReads, 0u);
+            EXPECT_GT(o.result->faultEventsApplied, 0u);
+            docs.push_back(resultJson(*o.result).dump());
+        }
+        return docs;
+    };
+
+    const std::vector<std::string> live1 = batch(1, false);
+    ASSERT_EQ(live1.size(), 2u) << live1[0];
+    EXPECT_NE(live1[0], live1[1]); // the sweep changed the machine
+    EXPECT_EQ(batch(4, false), live1);
+    EXPECT_EQ(batch(4, true), live1);
+    EXPECT_EQ(batch(1, true), live1);
+    EXPECT_GT(replayStats().replayed, 0u);
+    setReplay(ReplayOptions{});
+    resetReplayCache();
 }

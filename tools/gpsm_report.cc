@@ -141,6 +141,7 @@ int main(int argc, char **argv) try
     if (mode == "diff")
         return runDiff(rest);
     return usage(stderr);
-} catch (const gpsm::FatalError &) {
+} catch (const gpsm::FatalError &e) {
+    gpsm::reportFatal(e);
     return 2;
 }

@@ -96,9 +96,6 @@ usage()
         "  --sample-interval N            sampler epoch length in\n"
         "                                 traced accesses (default 1M;\n"
         "                                 0 disables the sampler)\n"
-        "  --replay                       record each distinct kernel\n"
-        "                                 access stream once; replay it\n"
-        "                                 for stream-invariant configs\n"
         "  --profile                      record host wall-time per\n"
         "                                 phase into each run's metrics\n"
         "                                 document (needs --metrics-dir)\n"
@@ -186,6 +183,11 @@ try {
             fatal("unknown argument '%s' (try --help)", arg.c_str());
         }
     }
+    // Every config of the app x dataset set has its own access stream
+    // (both fields are in streamFingerprint), so nothing could replay.
+    if (harness.replay)
+        fatal("--replay has nothing to replay here: every app x dataset "
+              "config has its own access stream");
 
     // The app x dataset cross product, in declared order, executed as
     // one set through the pool.
@@ -256,7 +258,8 @@ try {
                          "results are lost — use --journal)\n");
     }
     return failures == 0 ? 0 : 1;
-} catch (const FatalError &) {
+} catch (const FatalError &e) {
+    reportFatal(e);
     return 1;
 }
 

@@ -372,6 +372,7 @@ try {
     inform("submitted %zu, ok %zu (%zu served from cache), failed %d",
            outcomes.size(), ok, cached, failures);
     return failures == 0 ? 0 : 1;
-} catch (const FatalError &) {
+} catch (const FatalError &e) {
+    reportFatal(e);
     return 1;
 }

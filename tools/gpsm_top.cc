@@ -363,6 +363,7 @@ try {
                  static_cast<unsigned long long>(stream.delivered()),
                  static_cast<unsigned long long>(stream.dropped()));
     return 0;
-} catch (const FatalError &) {
+} catch (const FatalError &e) {
+    reportFatal(e);
     return 1;
 }
